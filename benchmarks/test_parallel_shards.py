@@ -1,7 +1,7 @@
-"""Parallel sharded-replay benchmark: sequential vs exact vs tolerant.
+"""Parallel sharded-replay benchmark: sequential vs exact.
 
 Times whole-trace sequential replay against the parallel shard
-executor (``--parallel-shards``) in both modes, on the same wordpress
+executor (``--parallel-shards exact``) on the same wordpress
 workload the perf-smoke benchmark uses (stretched to a 600k-block
 evaluation trace so per-run fixed costs amortize), replaying from an
 on-disk sharded trace so workers mmap their shards instead of
@@ -18,13 +18,12 @@ therefore split into two clearly separated sections:
   and inherently serial parent seconds (pool round wall vs total
   wall).  On hosts with more than one CPU the sweep extends to real
   multi-worker runs and records their measured speedups alongside the
-  model.  Exact-mode runs are asserted bit-identical to sequential;
-  tolerant runs are asserted to obey the documented tolerance.
+  model.  Exact-mode runs are asserted bit-identical to sequential.
 * ``projection`` — an Amdahl model ``t(n) = serial + busy / n`` built
   from that measured decomposition.  It is a model, not a measurement,
   and is labeled as such in the JSON.
 
-The decomposition records what each mode leaves serial.  Exact mode
+The decomposition records what exact mode leaves serial.  It
 runs the summarize / compose / scan rounds for **every** cache level
 (``l1-summary``, ``l1-scan``, ``l2-scan``, ``l3-scan``) in workers and
 ships the accounting back as per-shard deltas.  The per-shard fix-up
@@ -34,9 +33,7 @@ overlaps the round instead of trailing it — but it still runs in the
 parent, so the projection floors the round time at the fold's own
 duration.  What remains strictly serial is LRU-state composition
 between rounds plus argument marshalling and the data-traffic
-pre-decode.  Tolerant mode runs entire fresh simulators in workers and
-its serial fraction is the stats merge — well under 1% of sequential
-time.
+pre-decode.
 """
 
 from __future__ import annotations
@@ -62,19 +59,15 @@ SEQ_REPEATS = 3
 PAR_REPEATS = 2
 PROJECTED_WORKERS = (2, 4, 8, 16)
 
-#: The worker-pool rounds per mode — the parallelizable part of the
-#: wall.  Everything else the parent does (compose, the accounting
+#: The worker-pool rounds — the parallelizable part of the wall.  Everything else the parent does (compose, the accounting
 #: fold, the float timing chain, checkpoint IO, and the data-traffic
 #: pre-decode when a workload has one) is counted as serial.
-ROUND_STAGES = {
-    "exact": (
-        "parallel:l1-summary",
-        "parallel:l1-scan",
-        "parallel:l2-scan",
-        "parallel:l3-scan",
-    ),
-    "tolerant": ("parallel:tolerant",),
-}
+ROUND_STAGES = (
+    "parallel:l1-summary",
+    "parallel:l1-scan",
+    "parallel:l2-scan",
+    "parallel:l3-scan",
+)
 
 
 def _best_sequential(program, sharded):
@@ -89,7 +82,7 @@ def _best_sequential(program, sharded):
     return best, stats
 
 
-def _best_parallel(program, sharded, mode, workers):
+def _best_parallel(program, sharded, workers):
     """Best-of wall time plus the perf decomposition of the best run."""
     best = None
     stats = None
@@ -101,7 +94,7 @@ def _best_parallel(program, sharded, mode, workers):
         run_stats = core.run(
             sharded,
             warmup=WARMUP,
-            parallel=ParallelConfig(mode, workers=workers, perf=perf),
+            parallel=ParallelConfig("exact", workers=workers, perf=perf),
         )
         elapsed = time.perf_counter() - t0
         if best is None or elapsed < best:
@@ -109,8 +102,8 @@ def _best_parallel(program, sharded, mode, workers):
     return best, stats, registry
 
 
-def _rounds_wall(registry, mode):
-    return sum(registry.seconds(stage) for stage in ROUND_STAGES[mode])
+def _rounds_wall(registry):
+    return sum(registry.seconds(stage) for stage in ROUND_STAGES)
 
 
 def test_parallel_shards(results_dir, tmp_path_factory):
@@ -136,82 +129,58 @@ def test_parallel_shards(results_dir, tmp_path_factory):
 
     with kernel.force_numpy_kernel():
         t_seq, seq = _best_sequential(program, sharded)
-        modes = {}
-        for mode in ("exact", "tolerant"):
-            walls = {}
-            decomposition = None
-            for workers in measured_workers:
-                wall, stats, registry = _best_parallel(
-                    program, sharded, mode, workers
-                )
-                walls[workers] = wall
-                if mode == "exact":
-                    # the executor's contract: bit-identical statistics
-                    assert stats == seq, (
-                        f"exact mode diverged at workers={workers}"
-                    )
-                else:
-                    assert stats.program_instructions == seq.program_instructions
-                    assert stats.l1i_accesses == seq.l1i_accesses
-                    geometry = CoreSimulator(program).machine.l1i
-                    bound = (
-                        (sharded.num_shards - 1) * geometry.num_sets * geometry.ways
-                    )
-                    assert abs(stats.l1i_misses - seq.l1i_misses) <= bound
-                if workers == 1:
-                    rounds = _rounds_wall(registry, mode)
-                    busy = registry.seconds("parallel:busy")
-                    decomposition = {
-                        "wall_seconds": wall,
-                        "busy_seconds": busy,
-                        "rounds_wall_seconds": rounds,
-                        "serial_seconds": wall - rounds,
-                        "serial_fraction": (wall - rounds) / wall,
-                        # the accounting fold overlaps the l3-scan round
-                        # (its wall hides inside rounds_wall) but runs in
-                        # the parent, so no worker count compresses it —
-                        # the projection floors round time at this value
-                        "fold_seconds": registry.seconds("parallel:fold"),
-                        "utilization": registry.worker_utilization(),
-                    }
-                    if mode == "tolerant":
-                        decomposition["l1i_misses_delta"] = (
-                            stats.l1i_misses - seq.l1i_misses
-                        )
-                        decomposition["l1i_misses_bound"] = bound
-            serial = decomposition["serial_seconds"]
-            busy = decomposition["busy_seconds"]
-            fold = decomposition["fold_seconds"]
-            projected = {
-                n: t_seq / (serial + max(busy / n, fold))
-                for n in PROJECTED_WORKERS
-            }
-            modes[mode] = {
-                "measured_walls": {str(k): v for k, v in walls.items()},
-                "decomposition": decomposition,
-                "projected_speedup": {
-                    str(n): s for n, s in projected.items()
-                },
-            }
-            if cpus > 1:
-                # real walls, not the model — only meaningful with >1 CPU
-                modes[mode]["measured_speedup"] = {
-                    str(k): t_seq / v for k, v in walls.items() if k > 1
+        walls = {}
+        decomposition = None
+        for workers in measured_workers:
+            wall, stats, registry = _best_parallel(program, sharded, workers)
+            walls[workers] = wall
+            # the executor's contract: bit-identical statistics
+            assert stats == seq, f"exact mode diverged at workers={workers}"
+            if workers == 1:
+                rounds = _rounds_wall(registry)
+                busy = registry.seconds("parallel:busy")
+                decomposition = {
+                    "wall_seconds": wall,
+                    "busy_seconds": busy,
+                    "rounds_wall_seconds": rounds,
+                    "serial_seconds": wall - rounds,
+                    "serial_fraction": (wall - rounds) / wall,
+                    # the accounting fold overlaps the l3-scan round
+                    # (its wall hides inside rounds_wall) but runs in
+                    # the parent, so no worker count compresses it —
+                    # the projection floors round time at this value
+                    "fold_seconds": registry.seconds("parallel:fold"),
+                    "utilization": registry.worker_utilization(),
                 }
-            # scaling sanity: the model must improve monotonically with
-            # workers, and tolerant mode — whose serial part is only the
-            # stats merge — must project a clear parallel win
-            speedups = [projected[n] for n in PROJECTED_WORKERS]
-            assert speedups == sorted(speedups)
-        assert modes["tolerant"]["projected_speedup"]["8"] > 2.0
+        serial = decomposition["serial_seconds"]
+        busy = decomposition["busy_seconds"]
+        fold = decomposition["fold_seconds"]
+        projected = {
+            n: t_seq / (serial + max(busy / n, fold))
+            for n in PROJECTED_WORKERS
+        }
+        exact = {
+            "measured_walls": {str(k): v for k, v in walls.items()},
+            "decomposition": decomposition,
+            "projected_speedup": {str(n): s for n, s in projected.items()},
+        }
+        if cpus > 1:
+            # real walls, not the model — only meaningful with >1 CPU
+            exact["measured_speedup"] = {
+                str(k): t_seq / v for k, v in walls.items() if k > 1
+            }
+        modes = {"exact": exact}
+        # scaling sanity: the model must improve monotonically with
+        # workers
+        speedups = [projected[n] for n in PROJECTED_WORKERS]
+        assert speedups == sorted(speedups)
         # the multi-level decomposition's acceptance bar: the parent's
         # serial remainder (compose + fold + timing chain + checkpoints)
         # stays under 15% of the 1-worker wall, projecting >= 3x at 8
-        exact = modes["exact"]
-        assert exact["decomposition"]["serial_fraction"] < 0.15, (
+        assert decomposition["serial_fraction"] < 0.15, (
             "exact-mode parent fold grew back above 15% serial"
         )
-        assert exact["projected_speedup"]["8"] > 3.0
+        assert projected[8] > 3.0
 
     payload = {
         "host": {

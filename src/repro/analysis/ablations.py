@@ -52,14 +52,11 @@ def ablation_replacement_priority(
         )
         with evaluator.perf.stage(
             "simulate", units=len(evaluation.eval_trace.block_ids)
-        ):
+        ) as timed:
             stats = core.run(
                 evaluation.eval_trace, warmup=evaluator.settings.warmup
             )
-        evaluator.perf.count(
-            f"simulate:{core.last_replay_backend}",
-            units=len(evaluation.eval_trace.block_ids),
-        )
+            timed.detail = f"simulate:{core.last_replay_backend}"
         rows.append(
             {
                 "insertion_fraction": fraction,
@@ -140,14 +137,11 @@ def ablation_lbr_depth(
         )
         with evaluator.perf.stage(
             "simulate", units=len(evaluation.eval_trace.block_ids)
-        ):
+        ) as timed:
             stats = core.run(
                 evaluation.eval_trace, warmup=evaluator.settings.warmup
             )
-        evaluator.perf.count(
-            f"simulate:{core.last_replay_backend}",
-            units=len(evaluation.eval_trace.block_ids),
-        )
+            timed.detail = f"simulate:{core.last_replay_backend}"
         rows.append(
             {
                 "lbr_depth": depth,

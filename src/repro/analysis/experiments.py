@@ -110,10 +110,8 @@ class AppEvaluation:
         #: exact shard geometry that wrote it).
         self.shard_insns = shard_insns
         #: optional :class:`~repro.sim.parallel.ParallelConfig` fanning
-        #: each replay's shards across worker processes.  ``exact``
-        #: mode is another execution knob (bit-identical, absent from
-        #: cache keys); ``tolerant`` trades documented accuracy for
-        #: speed, so persistent caching is disabled for its stats.
+        #: each replay's shards across worker processes — another
+        #: execution knob (bit-identical, absent from cache keys).
         self.parallel = parallel
         #: batch whole sweep variant sets through one trace pass
         #: (:meth:`run_plans`).  Tri-state: ``True`` forces the batched
@@ -237,18 +235,11 @@ class AppEvaluation:
 
     # -- simulation --------------------------------------------------------
 
-    def _tolerant_replay(self) -> bool:
-        """True when replays run under the tolerant parallel mode,
-        whose statistics are approximate — they must neither be served
-        from nor written to the persistent store (stats keys describe
-        the exact result)."""
-        return self.parallel is not None and self.parallel.mode == "tolerant"
-
     def _cached_stats(self, key: str) -> Optional[SimStats]:
         stats = self._sim_cache.get(key)
         if stats is not None:
             return stats
-        if self.store is not None and not self._tolerant_replay():
+        if self.store is not None:
             stats = self.store.load_stats(key)
             if stats is not None:
                 self.perf.count("store-hit:stats")
@@ -258,7 +249,7 @@ class AppEvaluation:
 
     def _remember_stats(self, key: str, stats: SimStats) -> None:
         self._sim_cache[key] = stats
-        if self.store is not None and not self._tolerant_replay():
+        if self.store is not None:
             self.store.save_stats(key, stats)
 
     def _checkpointer(self, stats_key: str):
@@ -293,7 +284,7 @@ class AppEvaluation:
             return cached
         replay = trace if trace is not None else self.eval_trace
         replayer = zoo.PlanReplay(plan)
-        with self.perf.stage("simulate", units=len(replay.block_ids)), (
+        with self.perf.stage("simulate", units=len(replay.block_ids)) as timed, (
             self.tracer.span(
                 "sim:replay",
                 app=self.name,
@@ -315,10 +306,7 @@ class AppEvaluation:
                 ),
             )
             span.set(backend=replayer.last_replay_backend)
-        self.perf.count(
-            f"simulate:{replayer.last_replay_backend}",
-            units=len(replay.block_ids),
-        )
+            timed.detail = f"simulate:{replayer.last_replay_backend}"
         # Stash the engine's accounting for figures that need run-time
         # context bookkeeping (Fig. 21 false positives).
         stats.false_positive_rate = (  # type: ignore[attr-defined]
@@ -398,7 +386,7 @@ class AppEvaluation:
             blocks = len(replay.block_ids)
             with self.perf.stage(
                 "sweep:batch", units=blocks * len(batchable)
-            ), self.tracer.span(
+            ) as timed, self.tracer.span(
                 "sim:batch-sweep",
                 app=self.name,
                 variants=len(batchable),
@@ -427,7 +415,12 @@ class AppEvaluation:
                 if reason is not None:
                     self.perf.count("batch-fallback")
                     continue
-                self.perf.count("simulate:columnar-plan-batch", units=blocks)
+                # each batched variant's even share of the one pass
+                self.perf.add(
+                    "simulate:columnar-plan-batch",
+                    timed.seconds / len(batchable),
+                    units=blocks,
+                )
                 stats = core.stats
                 stats.false_positive_rate = (  # type: ignore[attr-defined]
                     core.engine.conditional_false_positive_rate
@@ -448,7 +441,7 @@ class AppEvaluation:
             return cached
         replay = trace if trace is not None else self.eval_trace
         ideal = self.prefetcher("ideal")
-        with self.perf.stage("simulate", units=len(replay.block_ids)), (
+        with self.perf.stage("simulate", units=len(replay.block_ids)) as timed, (
             self.tracer.span(
                 "sim:replay",
                 app=self.name,
@@ -467,9 +460,7 @@ class AppEvaluation:
                 ),
             )
             span.set(backend=ideal.last_replay_backend)
-        self.perf.count(
-            f"simulate:{ideal.last_replay_backend}", units=len(replay.block_ids)
-        )
+            timed.detail = f"simulate:{ideal.last_replay_backend}"
         self._remember_stats(key, stats)
         return stats
 

@@ -1,10 +1,17 @@
 """Process-parallel fan-out for the evaluation harness.
 
-Jobs are top-level functions (picklable by the default
+Jobs are top-level functions (picklable by the
 ``ProcessPoolExecutor`` machinery); each worker builds its own
 :class:`~repro.analysis.experiments.Evaluator` against the shared
 on-disk artifact store, so cross-process communication is limited to
 content-addressed files plus the returned statistics.
+
+The parent synthesizes each app and generates its evaluation trace
+once, before the pool starts, and the pool forks: every worker
+inherits those objects through the pool initializer (under ``fork``
+they are copied with the address space, never pickled) instead of
+rebuilding them per job.  Where ``fork`` is unavailable the inherited
+table is empty and workers synthesize lazily, as any evaluator does.
 
 Telemetry crosses the same boundary the same way: when the parent is
 tracing, each job runs under its own :class:`~repro.obs.trace.Tracer`
@@ -21,6 +28,7 @@ completion order, and whether or not tracing is on.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -124,13 +132,40 @@ def split_worker_budget(
     return done(share, False)
 
 
+#: app name -> (synthesized app, evaluation trace) built by the
+#: parent before the pool started; installed in each worker by
+#: :func:`_inherit` (empty in the parent, and wherever fork is missing)
+_INHERITED: Dict[str, tuple] = {}
+
+
+def _inherit(table: Dict[str, tuple]) -> None:
+    """Pool initializer: adopt the parent's synthesized apps."""
+    _INHERITED.clear()
+    _INHERITED.update(table)
+
+
+def _pool_context():
+    """The ``fork`` start method, or None where the platform lacks it.
+
+    Fork is what lets workers inherit the parent's apps without
+    pickling them; the parent starts no threads before the pool.
+    """
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - platforms without fork
+        return None
+
+
 def _worker_evaluator(
+    name: str,
     settings: "ExperimentSettings",
     store_root: str,
     tracing: bool = False,
     shard_insns: Optional[int] = None,
     parallel: Optional[Tuple[str, int]] = None,
 ):
+    """A fresh worker-side Evaluator whose *name* evaluation starts
+    from the inherited app and evaluation trace, when there are any."""
     from .. import perf as perf_mod
     from ..obs.trace import NULL_TRACER, Tracer, set_tracer
     from ..runconfig import RunConfig
@@ -151,7 +186,11 @@ def _worker_evaluator(
         parallel_shards=mode,
         worker_budget=workers,
     )
-    return Evaluator(config=config)
+    evaluator = Evaluator(config=config)
+    if name in _INHERITED:
+        evaluation = evaluator[name]
+        evaluation._app, evaluation._eval_trace = _INHERITED[name]
+    return evaluator
 
 
 def prepare_app(
@@ -164,7 +203,7 @@ def prepare_app(
 ) -> Tuple[str, Dict[str, tuple], List[dict]]:
     """Phase-1 job: persist one app's profile and default plans."""
     evaluator = _worker_evaluator(
-        settings, store_root, tracing, shard_insns, parallel
+        name, settings, store_root, tracing, shard_insns, parallel
     )
     with evaluator.tracer.span("job:prepare-app", app=name):
         evaluation = evaluator[name]
@@ -191,11 +230,20 @@ def evaluate_variant(
     every in-flight simulation from its last completed shard.
     """
     evaluator = _worker_evaluator(
-        settings, store_root, tracing, shard_insns, parallel
+        name, settings, store_root, tracing, shard_insns, parallel
     )
     with evaluator.tracer.span("job:evaluate-variant", app=name, variant=variant):
         stats = evaluator[name].stats_for(variant)
     return name, variant, stats, evaluator.perf.snapshot(), evaluator.tracer.snapshot()
+
+
+def _needs_profile(variant: str) -> bool:
+    """Whether simulating *variant* reads the app's profile or plans
+    (the prepare wave builds those); ``baseline`` and the profile-free
+    members run without either."""
+    from ..baselines import protocol as zoo
+
+    return variant != "baseline" and zoo.get_prefetcher(variant).requires_profile
 
 
 def run_prewarm_jobs(
@@ -206,9 +254,13 @@ def run_prewarm_jobs(
 ) -> None:
     """Fan (app, variant) simulations across *n_jobs* processes.
 
-    Phase 1 builds each app's shared artifacts (profile + default
-    plans) exactly once, so phase 2's per-variant jobs only load them
-    from the store instead of duplicating the planning work.
+    The parent builds each app and its evaluation trace, and the
+    forked workers inherit both.  The first wave builds each app's
+    shared artifacts (profile + default plans) exactly once, so
+    plan-dependent jobs only load them from the store instead of
+    duplicating the planning work; the variants that need neither
+    profile nor plan run beside it in the same wave, and the rest are
+    submitted once it has finished.
     """
     store_root = str(evaluator.store.root)
     settings = evaluator.settings
@@ -222,8 +274,39 @@ def run_prewarm_jobs(
         if parallel_cfg is not None
         else None
     )
-    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-        with tracer.span("prewarm:prepare", apps=len(names)):
+    context = _pool_context()
+    inherited = {}
+    if context is not None:
+        for name in names:
+            evaluation = evaluator[name]
+            inherited[name] = (evaluation.app, evaluation.eval_trace)
+    early = [v for v in variants if not _needs_profile(v)]
+    late = [v for v in variants if _needs_profile(v)]
+
+    def absorb(snapshot, events) -> None:
+        perf.merge(snapshot)
+        tracer.absorb(events)
+
+    with ProcessPoolExecutor(
+        max_workers=n_jobs,
+        mp_context=context,
+        initializer=_inherit,
+        initargs=(inherited,),
+    ) as pool:
+
+        def simulate(batch):
+            return [
+                pool.submit(
+                    evaluate_variant, name, variant, settings, store_root,
+                    tracing, shard_insns, parallel,
+                )
+                for name in names
+                for variant in batch
+            ]
+
+        with tracer.span(
+            "prewarm:prepare", apps=len(names), jobs=len(names) * len(early)
+        ):
             prepared = [
                 pool.submit(
                     prepare_app, name, settings, store_root, tracing,
@@ -231,23 +314,15 @@ def run_prewarm_jobs(
                 )
                 for name in names
             ]
+            simulated = simulate(early)
             for future in prepared:
                 _, snapshot, events = future.result()
-                perf.merge(snapshot)
-                tracer.absorb(events)
+                absorb(snapshot, events)
         with tracer.span(
-            "prewarm:simulate", jobs=len(names) * len(variants), workers=n_jobs
+            "prewarm:simulate", jobs=len(names) * len(late), workers=n_jobs
         ):
-            simulated = [
-                pool.submit(
-                    evaluate_variant, name, variant, settings, store_root,
-                    tracing, shard_insns, parallel,
-                )
-                for name in names
-                for variant in variants
-            ]
-            results = [future.result() for future in simulated]
-            for name, variant, stats, snapshot, events in results:
-                perf.merge(snapshot)
-                tracer.absorb(events)
+            simulated += simulate(late)
+            for future in simulated:
+                name, variant, stats, snapshot, events = future.result()
+                absorb(snapshot, events)
                 evaluator[name]._stats[variant] = stats

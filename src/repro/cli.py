@@ -86,6 +86,25 @@ FIGURES = {
     "fig21": exp.fig21_hash_size,
 }
 
+#: figure name -> the (app, variant) statistics its function reads, so
+#: a parallel ``figure`` run prewarms only those; figures not named
+#: here (the sweeps) prewarm ``DEFAULT_PREWARM_VARIANTS``.  An empty
+#: entry still fans out the profile and default plans per app.
+FIGURE_VARIANTS = {
+    "matrix": exp.MATRIX_PREFETCHERS,
+    "fig01": ("baseline",),
+    "fig04": ("asmdb",),
+    "fig05": ("baseline", "contiguous8", "noncontiguous8"),
+    "fig10": ("baseline", "ideal", "asmdb", "ispy"),
+    "fig11": ("baseline", "asmdb", "ispy"),
+    "fig12": (
+        "baseline", "asmdb", "ispy", "ispy-conditional", "ispy-coalescing",
+    ),
+    "fig13": ("asmdb", "ispy"),
+    "fig14": (),
+    "fig15": ("asmdb", "ispy"),
+}
+
 
 def _begin(args: argparse.Namespace) -> Tuple[RunConfig, exp.Evaluator]:
     """One invocation's config + evaluator, from the parsed flags."""
@@ -274,7 +293,11 @@ def cmd_figure(args: argparse.Namespace) -> int:
         return 0
     config, evaluator = _begin(args)
     if args.jobs != 1:
-        evaluator.prewarm()
+        evaluator.prewarm(
+            variants=FIGURE_VARIANTS.get(
+                args.name, exp.DEFAULT_PREWARM_VARIANTS
+            )
+        )
     rows = _figure_rows(function(evaluator))
     print(render_table(rows, title=args.name, precision=4))
     _finish(config, evaluator)

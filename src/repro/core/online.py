@@ -115,11 +115,9 @@ class OnlineISpy:
                 plan=plan,
                 data_traffic=self.data_traffic_factory(index),
             )
-            with self.perf.stage("simulate", units=len(epoch_trace)):
+            with self.perf.stage("simulate", units=len(epoch_trace)) as timed:
                 stats = core.run(epoch_trace)
-            self.perf.count(
-                f"simulate:{core.last_replay_backend}", units=len(epoch_trace)
-            )
+                timed.detail = f"simulate:{core.last_replay_backend}"
 
             profile = profile_execution(
                 self.program,

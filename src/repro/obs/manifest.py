@@ -58,7 +58,7 @@ MANIFEST_SCHEMA: Dict[str, Any] = {
     "jobs": int,
     "shard_insns": (int, type(None)),  # trace shard budget, None = whole-trace
     "parallel": {
-        "mode": (str, type(None)),        # exact/tolerant, None = sequential
+        "mode": (str, type(None)),        # exact, None = sequential
         "workers": (int, type(None)),     # shard-pool size, None = sequential
         "busy_seconds": (int, float),     # worker-seconds spent computing
         "idle_seconds": (int, float),     # worker-seconds spent waiting

@@ -21,10 +21,12 @@ Registries are cheap plain objects.  Worker processes of the parallel
 evaluator time their own work into a private registry, ship a
 :meth:`~PerfRegistry.snapshot` back with the job result, and the
 parent :meth:`~PerfRegistry.merge`\\ s it, so ``--timing`` output
-covers all cores.  Counters deliberately measure wall-clock per stage
-*execution*, so merged parallel totals can exceed elapsed time — the
-report states CPU-seconds of work, which is the quantity the cache
-hit-rate actually saves.
+covers all cores.  Counters measure wall-clock per stage *execution*,
+and stages nest (planning may profile, profiling may synthesize), so
+summed stage seconds are neither elapsed time nor CPU time.  The
+report therefore closes with the run's elapsed wall time beside the
+CPU seconds of the parent and its reaped workers (:func:`cpu_seconds`)
+and the parallel efficiency those two imply.
 """
 
 from __future__ import annotations
@@ -33,6 +35,24 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional
+
+
+try:
+    import resource
+except ImportError:  # pragma: no cover - non-Unix hosts
+    resource = None
+
+
+def cpu_seconds() -> float:
+    """User + system CPU seconds of this process and its reaped children
+    (pool workers count once their pool has shut down)."""
+    if resource is None:  # pragma: no cover - non-Unix hosts
+        return time.process_time()
+    total = 0.0
+    for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN):
+        usage = resource.getrusage(who)
+        total += usage.ru_utime + usage.ru_stime
+    return total
 
 
 @dataclass
@@ -54,6 +74,16 @@ class StageCounter:
 
 
 @dataclass
+class StageTimer:
+    """Handle yielded by :meth:`PerfRegistry.stage`."""
+
+    #: a second counter credited with the stage's seconds and units
+    detail: Optional[str] = None
+    #: elapsed seconds, set when the stage exits
+    seconds: float = 0.0
+
+
+@dataclass
 class PerfRegistry:
     """A named collection of stage counters."""
 
@@ -66,13 +96,23 @@ class PerfRegistry:
         return entry
 
     @contextmanager
-    def stage(self, name: str, units: int = 0) -> Iterator[None]:
-        """Time a with-block into the counter for *name*."""
+    def stage(self, name: str, units: int = 0) -> Iterator["StageTimer"]:
+        """Time a with-block into the counter for *name*.
+
+        The yielded :class:`StageTimer` may name a ``detail`` counter
+        that is credited with the same seconds and units (the replay
+        backend under ``simulate``), and holds the elapsed ``seconds``
+        once the block has exited.
+        """
+        timer = StageTimer()
         started = time.perf_counter()
         try:
-            yield
+            yield timer
         finally:
-            self.counter(name).add(time.perf_counter() - started, units)
+            timer.seconds = time.perf_counter() - started
+            self.counter(name).add(timer.seconds, units)
+            if timer.detail is not None:
+                self.counter(timer.detail).add(timer.seconds, units)
 
     def count(self, name: str, units: int = 0) -> None:
         """Record an instantaneous event (e.g. a cache hit)."""
@@ -119,12 +159,13 @@ class PerfRegistry:
     def backend_counts(self, prefix: str = "simulate:") -> Dict[str, int]:
         """Simulate calls per replay backend.
 
-        The simulator records one ``simulate:<backend>`` event per
-        :meth:`CoreSimulator.run` — ``reference`` for the pure-Python
-        loop, ``columnar`` for the plan-free array kernel and
-        ``columnar-plan`` for plan-bearing array replay — so the
+        Each replay's ``simulate`` stage also credits its seconds and
+        blocks to a ``simulate:<backend>`` counter — ``reference`` for
+        the pure-Python loop, ``columnar`` for the plan-free array
+        kernel, ``columnar-plan`` for plan-bearing array replay and
+        ``columnar-plan-batch`` for a batched sweep's share — so the
         ``--timing`` report can show which implementation actually
-        served each replay.
+        served each replay, and at what cost.
         """
         return {
             name[len(prefix):]: entry.calls
@@ -140,8 +181,8 @@ class PerfRegistry:
         """Per-round accounting of the parallel shard executor.
 
         One entry per ``parallel:<round>`` stage the pool ran —
-        ``l1-summary``/``l1-scan``/``l2-scan``/``l3-scan`` for exact
-        mode, ``tolerant``/``ideal`` for the others, plus setup stages
+        ``l1-summary``/``l1-scan``/``l2-scan``/``l3-scan`` for array
+        replay, ``ideal`` for the ideal frontend, plus setup stages
         like ``write-shards`` and ``data-decode`` — excluding the
         aggregate busy/idle/per-task counters.  Feeds the run
         manifest's parallel section.
@@ -161,11 +202,22 @@ class PerfRegistry:
 
     # -- reporting ------------------------------------------------------
 
-    def report(self, title: str = "per-stage timing") -> str:
-        """Render the counters as an aligned text table."""
+    def report(
+        self,
+        title: str = "per-stage timing",
+        wall_s: Optional[float] = None,
+        cpu_s: Optional[float] = None,
+        jobs: int = 1,
+    ) -> str:
+        """Render the counters as an aligned text table.
+
+        With the run's elapsed *wall_s* and *cpu_s* (parent plus
+        workers), the table closes with those two and the parallel
+        efficiency ``cpu / (wall x jobs)``; without them, with the
+        summed stage seconds, labelled as such.
+        """
         header = ("stage", "calls", "seconds", "units", "units/sec")
         rows = [header]
-        total_seconds = self.total_seconds()
         for name in sorted(self.counters):
             entry = self.counters[name]
             rows.append(
@@ -177,7 +229,6 @@ class PerfRegistry:
                     f"{entry.units_per_second:,.0f}" if entry.units else "-",
                 )
             )
-        rows.append(("total", "", f"{total_seconds:.3f}", "", ""))
         widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
         lines = [title]
         for index, row in enumerate(rows):
@@ -186,6 +237,21 @@ class PerfRegistry:
             )
             if index == 0:
                 lines.append("  ".join("-" * w for w in widths))
+        if wall_s is None or cpu_s is None:
+            lines.append(
+                f"total: {self.total_seconds():.3f}s summed stage seconds "
+                "(stages nest; not elapsed time)"
+            )
+        else:
+            lines.append(
+                f"total: {wall_s:.3f}s elapsed wall, {cpu_s:.3f}s cpu "
+                f"(parent + workers), {jobs} job{'s' if jobs != 1 else ''}"
+            )
+            if wall_s > 0:
+                lines.append(
+                    f"parallel efficiency: {cpu_s / (wall_s * jobs):.2f} "
+                    f"(cpu / (wall x jobs))"
+                )
         backends = self.backend_counts()
         if backends:
             summary = "  ".join(

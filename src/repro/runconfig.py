@@ -25,6 +25,7 @@ bit-identical whatever the sinks.
 from __future__ import annotations
 
 import os
+import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Union
 
@@ -64,8 +65,7 @@ class RunConfig:
     shard_insns: Optional[int] = None
     #: fan each trace's shards across worker processes: ``"exact"``
     #: (bit-identical, no-plan columnar backends, sequential fallback
-    #: otherwise) or ``"tolerant"`` (any backend, documented stats
-    #: tolerance — see :mod:`repro.sim.parallel`); requires
+    #: otherwise — see :mod:`repro.sim.parallel`); requires
     #: ``shard_insns``.  Like it, an execution knob: never cached on.
     parallel_shards: Optional[str] = None
     #: batch whole sweep variant sets through one trace pass per app
@@ -94,6 +94,10 @@ class RunConfig:
     command: Optional[str] = None
 
     _root_span: object = field(default=None, init=False, repr=False, compare=False)
+    #: (perf_counter, cpu_seconds) when the config was first applied
+    _started: Optional[tuple] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.settings is None:
@@ -141,6 +145,8 @@ class RunConfig:
 
     def apply(self) -> None:
         """Install the process-wide pieces this config describes."""
+        if self._started is None:
+            self._started = (time.perf_counter(), perf_mod.cpu_seconds())
         if self.numpy_kernel is not None:
             kernel.set_numpy_kernel(self.numpy_kernel)
             # Simulation workers are separate processes; the environment
@@ -173,8 +179,17 @@ class RunConfig:
             target = manifest.write(self.manifest_path)
             print(f"manifest written to {target}")
         if self.timing:
+            from .analysis.jobs import resolve_jobs
+
+            elapsed = {}
+            if self._started is not None:
+                wall, cpu = self._started
+                elapsed = dict(
+                    wall_s=time.perf_counter() - wall,
+                    cpu_s=perf_mod.cpu_seconds() - cpu,
+                )
             print()
-            print(evaluator.perf.report())
+            print(evaluator.perf.report(jobs=resolve_jobs(self.jobs), **elapsed))
 
 
 def add_run_arguments(
@@ -225,13 +240,12 @@ def add_run_arguments(
         "bit-identical to whole-trace replay)",
     )
     run.add_argument(
-        "--parallel-shards", choices=("exact", "tolerant"), default=None,
+        "--parallel-shards", choices=("exact",), default=None,
         metavar="MODE",
         help="replay each trace's shards across worker processes "
         "(requires --shard-insns): 'exact' is bit-identical and "
         "serves the no-plan columnar backends (others fall back to "
-        "sequential replay), 'tolerant' serves every backend with a "
-        "documented statistics tolerance",
+        "sequential replay)",
     )
     batch = run.add_mutually_exclusive_group()
     batch.add_argument(

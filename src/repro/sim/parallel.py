@@ -7,9 +7,7 @@ ShardedTrace`) directly — shard columns are memory-mapped from disk,
 never pickled through the pool — and each worker emits spans absorbed
 onto per-worker timelines via :meth:`~repro.obs.trace.Tracer.absorb`.
 
-Two modes:
-
-**exact** (no-plan columnar backends only) runs the summarize /
+One mode, **exact** (no-plan columnar backends only), runs the summarize /
 compose / scan pattern once per cache level — the whole hierarchy is
 LRU-with-demand-fill, so the same composition law stitches every
 level — and finishes with a parallel accounting reduction:
@@ -55,16 +53,6 @@ survive, so capping the summary at the associativity is lossless.
 The law never mentions L1: it holds for any LRU-with-demand-fill
 level, which is exactly why rounds 2–4 can reuse it for L2 and L3
 once the preceding round has fixed that level's access stream.
-
-**tolerant** replays every shard in a fresh simulator warmed by a
-short prefix of the preceding shard (``prefix_blocks``), trading a
-documented approximation for plan-backend parallelism.  Approximation
-contract: ``program_instructions``, ``l1i_accesses`` and
-``prefetch_instructions_executed`` are exact; ``l1i_misses`` is
-over-counted by at most ``(num_shards - 1) * l1_capacity_lines`` cold
-misses (each boundary can at worst re-miss one full L1I of state);
-derived cycle counts inherit that bias; the final hierarchy/engine
-state is left cold and resume checkpoints are not written.
 """
 
 from __future__ import annotations
@@ -78,7 +66,7 @@ from typing import Dict, List, Optional, Tuple
 from .. import kernel
 from ..obs.trace import Tracer, get_tracer, use_tracer
 
-PARALLEL_MODES = ("exact", "tolerant")
+PARALLEL_MODES = ("exact",)
 
 
 @dataclass
@@ -86,17 +74,14 @@ class ParallelConfig:
     """How to fan one trace's shards across worker processes.
 
     ``mode`` is ``"exact"`` (bit-identical, no-plan columnar backends;
-    other configurations fall back to sequential replay) or
-    ``"tolerant"`` (any backend, documented approximation).
+    other configurations fall back to sequential replay).
     ``workers`` of ``None`` or ``<= 0`` means one per CPU.
-    ``prefix_blocks`` is the tolerant mode's warm-up prefix length.
     ``perf`` receives the pool's busy/idle accounting (the process
     registry when None).
     """
 
     mode: str = "exact"
     workers: Optional[int] = None
-    prefix_blocks: int = 64
     perf: object = None
 
     def __post_init__(self) -> None:
@@ -454,56 +439,12 @@ def _task_ideal(index: int, reset_local: Optional[int]) -> Tuple[int, int]:
     )
 
 
-def _task_tolerant(index: int, reset_local: Optional[int]) -> dict:
-    """Replay one shard in a fresh simulator warmed by a prefix of the
-    preceding shard (the documented tolerant approximation)."""
-    from .cpu import CoreSimulator
-    from .stats import SHARD_FLOAT_FIELDS, SHARD_INT_FIELDS
-    from .streaming import _data_model_restore
-    from .trace import BlockTrace
-
-    sharded = _W["sharded"]
-    ids = list(sharded.shard(index).block_ids)
-    prefix: list = []
-    prefix_blocks = _W["prefix_blocks"]
-    if index > 0 and prefix_blocks > 0:
-        previous = sharded.shard(index - 1).block_ids
-        prefix = list(previous[-prefix_blocks:])
-    warmup = len(prefix) + (reset_local or 0)
-    data_model = _W["data_model"]
-    if data_model is not None:
-        # Every worker replays data traffic from the run-start RNG
-        # snapshot — part of the tolerant approximation (the exact
-        # stream position depends on all preceding shards).
-        _data_model_restore(data_model, _W["data_state"])
-    core = CoreSimulator(
-        _W["program"],
-        machine=_W["machine"],
-        plan=_W["plan"],
-        ideal=_W["ideal"],
-        hash_bits=_W["hash_bits"],
-        lbr_depth=_W["lbr_depth"],
-        track_exact_context=_W["track_exact_context"],
-        data_traffic=data_model,
-        prefetch_insertion_fraction=_W["insertion_fraction"],
-    )
-    stats = core.run(BlockTrace(prefix + ids), warmup=warmup)
-    result = {
-        name: getattr(stats, name)
-        for name in SHARD_INT_FIELDS + SHARD_FLOAT_FIELDS
-    }
-    result["miss_levels"] = dict(stats.miss_level_counts)
-    result["backend"] = core.last_replay_backend
-    return result
-
-
 _TASKS = {
     "l1-summary": _task_l1_summary,
     "l1-scan": _task_l1_scan,
     "l2-scan": _task_l2_scan,
     "l3-scan": _task_l3_scan,
     "ideal": _task_ideal,
-    "tolerant": _task_tolerant,
 }
 
 
@@ -527,26 +468,14 @@ def _pool_task(stage: str, args: tuple):
 # -- parent side -------------------------------------------------------------
 
 
-def pool_payload(core, shard_dir, mode: str, prefix_blocks: int) -> dict:
+def pool_payload(core, shard_dir) -> dict:
     """The picklable run description shipped to every worker."""
-    from .streaming import _data_model_payload
-
     return {
         "program": core.program,
         "machine": core.machine,
         "shard_dir": str(shard_dir),
         "numpy": kernel.numpy_enabled(),
         "tracing": get_tracer().enabled,
-        "mode": mode,
-        "plan": core.plan,
-        "ideal": core.ideal,
-        "hash_bits": core.hash_bits,
-        "lbr_depth": core.lbr_depth,
-        "track_exact_context": core.track_exact_context,
-        "insertion_fraction": core.hierarchy.prefetch_insertion_fraction,
-        "data_model": core.data_traffic,
-        "data_state": _data_model_payload(core.data_traffic),
-        "prefix_blocks": prefix_blocks,
     }
 
 

@@ -427,9 +427,6 @@ def run_sharded(
     configuration it cannot serve (observer, kernel disabled, seeded
     state, plan-bearing engine, single shard) falls back to the
     sequential drivers below with a ``sim:parallel-fallback`` instant.
-    ``tolerant`` mode serves every backend by replaying each shard
-    from an approximated start state — see :mod:`repro.sim.parallel`
-    for the documented tolerance; it ignores *checkpointer*.
     """
     program = core.program
     machine = core.machine
@@ -485,13 +482,11 @@ def run_sharded(
     num_shards = len(bounds)
 
     # Parallel eligibility: exact mode needs the no-plan columnar
-    # fast path (the stitching proof covers exactly its L1 sweep);
-    # tolerant mode needs a replay a fresh worker simulator can
-    # reproduce (pristine state, no observer).  Ineligible requests
-    # fall back to the sequential drivers, visibly.
+    # fast path (the stitching proof covers exactly its L1 sweep).
+    # Ineligible requests fall back to the sequential drivers, visibly.
     use_parallel = False
     if parallel is not None:
-        reason = _parallel_ineligible(parallel.mode, fallback, engine)
+        reason = _parallel_ineligible(fallback, engine)
         if reason is None and num_shards <= 1:
             reason = "single-shard"
         if reason is None:
@@ -901,22 +896,13 @@ def run_plan_batch(
 # -- parallel drivers --------------------------------------------------------
 
 
-def _parallel_ineligible(mode, fallback, engine) -> Optional[str]:
-    """Why a parallel request cannot be served, or None when it can.
-
-    ``exact`` requires the no-plan columnar fast path; ``tolerant``
-    requires a replay a fresh worker can reproduce, which rules out
-    observers and pre-seeded hierarchy/engine state (but not a
-    disabled kernel or a plan — workers replicate both).
-    """
-    if mode == "exact":
-        if fallback is not None:
-            return fallback
-        if engine is not None:
-            return "plan-backend"
-        return None
-    if fallback in ("observer", "state-not-pristine", "plan-ineligible"):
+def _parallel_ineligible(fallback, engine) -> Optional[str]:
+    """Why a parallel request cannot be served, or None when it can:
+    exact mode requires the no-plan columnar fast path."""
+    if fallback is not None:
         return fallback
+    if engine is not None:
+        return "plan-backend"
     return None
 
 
@@ -944,17 +930,9 @@ def _run_parallel(
             with perf.stage("parallel:write-shards", units=len(bounds)):
                 write_trace_shards(inline, core.program, tmp, shard_insns)
             shard_dir = tmp
-        payload = pool_payload(
-            core, shard_dir, parallel.mode, parallel.prefix_blocks
-        )
+        payload = pool_payload(core, shard_dir)
         with ShardPool(payload, parallel.resolve_workers()) as pool:
-            if parallel.mode == "tolerant":
-                if checkpointer is not None:
-                    tracer.instant("sim:parallel-no-checkpoint")
-                _run_parallel_tolerant(
-                    core, warmup, total, bounds, tracer, pool, perf
-                )
-            elif core.ideal:
+            if core.ideal:
                 _run_parallel_ideal(
                     core, view, warmup, total, bounds, shard_insns,
                     checkpointer, tracer, pool, perf,
@@ -1215,60 +1193,6 @@ def _run_parallel_ideal(
     _apply_merged(stats, merged)
     if checkpointer is not None:
         checkpointer.finalize(len(bounds))
-
-
-def _run_parallel_tolerant(core, warmup, total, bounds, tracer, pool, perf):
-    """Tolerant parallel replay: every shard in a fresh worker
-    simulator warmed by a short prefix of its predecessor.
-
-    Shards entirely inside the warmup region contribute identity
-    partials (the merge still needs their indices for adjacency) but
-    dispatch no worker task.  Worker statistics are folded into
-    running cumulative snapshots so the standard :class:`ShardStats`
-    delta/merge algebra applies unchanged.  The final hierarchy and
-    engine are left cold — stats-only, per the documented tolerance.
-    """
-    stats = core.stats
-    eff = warmup if 0 < warmup < total else 0
-    executed = []
-    tasks = []
-    for index, (start, stop) in enumerate(bounds):
-        if stop <= eff:
-            continue
-        executed.append(index)
-        tasks.append(
-            (index, eff - start if start <= eff < stop else None)
-        )
-    results = pool.run_round("tolerant", tasks, perf, tracer)
-    by_index = dict(zip(executed, results))
-    merged = ShardStats.identity()
-    prev = SimStats()
-    backend = core.last_replay_backend
-    totals = SimStats()
-    for index in range(len(bounds)):
-        payload = by_index.get(index)
-        if payload is not None:
-            for name in SHARD_INT_FIELDS:
-                setattr(
-                    totals, name, getattr(totals, name) + int(payload[name])
-                )
-            for name in SHARD_FLOAT_FIELDS:
-                setattr(
-                    totals, name,
-                    getattr(totals, name) + float(payload[name]),
-                )
-            for level, count in payload["miss_levels"].items():
-                totals.miss_level_counts[level] = (
-                    totals.miss_level_counts.get(level, 0) + count
-                )
-            backend = payload["backend"]
-        cur = _copy_stats(totals)
-        merged = merged.merge(ShardStats.delta(index, prev, cur))
-        prev = cur
-    stats.clear()
-    _apply_merged(stats, merged)
-    core.last_replay_backend = backend
-    core.last_fallback_reason = None
 
 
 # -- profiler streaming ------------------------------------------------------

@@ -25,11 +25,16 @@ Supported input formats
     conventions), detected by magic bytes rather than extension.
 ``jsonl``
     One JSON object per line: ``{"ip": <int|"0x..">}`` with optional
-    ``"size"`` (instruction bytes) and ``"taken"`` (bool) keys — the
-    interchange format for everything that is not ChampSim.
+    ``"size"`` (instruction bytes, at most ``MAX_INSTRUCTION_BYTES``)
+    and ``"taken"`` (bool) keys — the interchange format for everything
+    that is not ChampSim.
 ``csv``
     ``ip[,size[,taken]]`` rows with an optional header line; ``ip``
     in decimal or ``0x`` hex.
+
+Every reader treats its file as untrusted: malformed records, out of
+range values and damaged or truncated compressed streams raise a
+:class:`ValueError` naming the file.
 
 Block reconstruction
 --------------------
@@ -52,11 +57,15 @@ trace entry per leader ip.
 
 from __future__ import annotations
 
+import contextlib
 import csv as _csv
+import gzip
 import io
 import json
+import lzma
 import os
 import struct
+import zlib
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -114,16 +123,31 @@ def _open_binary(path) -> io.BufferedIOBase:
     magic = handle.read(len(_XZ_MAGIC))
     handle.seek(0)
     if magic[: len(_GZIP_MAGIC)] == _GZIP_MAGIC:
-        import gzip
-
         handle.close()
         return gzip.open(path, "rb")
     if magic == _XZ_MAGIC:
-        import lzma
-
         handle.close()
         return lzma.open(path, "rb")
     return handle
+
+
+#: what a damaged file raises from inside the decoders: truncated
+#: compressed streams (EOFError), bad gzip framing or CRC
+#: (BadGzipFile), corrupt deflate/xz data, and malformed CSV
+_CORRUPT_INPUT = (
+    EOFError, gzip.BadGzipFile, zlib.error, lzma.LZMAError, _csv.Error,
+)
+
+
+@contextlib.contextmanager
+def _decoding(path) -> Iterator[None]:
+    """Report a damaged *path* as a ValueError naming it."""
+    try:
+        yield
+    except _CORRUPT_INPUT as exc:
+        raise ValueError(
+            f"{path}: corrupt input ({type(exc).__name__}: {exc})"
+        ) from exc
 
 
 def _parse_ip(token) -> int:
@@ -132,8 +156,22 @@ def _parse_ip(token) -> int:
     else:
         text = str(token).strip()
         value = int(text, 16) if text.lower().startswith("0x") else int(text)
-    if value < 0:
-        raise ValueError(f"negative instruction pointer {token!r}")
+    if not 0 <= value < 1 << 64:
+        raise ValueError(f"instruction pointer {token!r} outside 0..2**64-1")
+    return value
+
+
+def _parse_size(token) -> int:
+    """An explicit instruction size in bytes; 0 (or absent) = unknown."""
+    if token is None or token == "":
+        return 0
+    if not isinstance(token, (int, str)):
+        raise ValueError(f"bad instruction size {token!r}")
+    value = int(token)
+    if not 0 <= value <= MAX_INSTRUCTION_BYTES:
+        raise ValueError(
+            f"instruction size {token!r} outside 0..{MAX_INSTRUCTION_BYTES}"
+        )
     return value
 
 
@@ -146,7 +184,7 @@ def _parse_taken(token) -> bool:
 def iter_champsim(path) -> Iterator[InstructionRecord]:
     """Decode a ChampSim-style binary trace (optionally gz/xz)."""
     unpack = _CHAMPSIM_HEAD.unpack_from
-    with _open_binary(path) as handle:
+    with _open_binary(path) as handle, _decoding(path):
         while True:
             chunk = handle.read(CHAMPSIM_RECORD_BYTES)
             if not chunk:
@@ -162,7 +200,7 @@ def iter_champsim(path) -> Iterator[InstructionRecord]:
 
 def iter_jsonl(path) -> Iterator[InstructionRecord]:
     """Decode the JSONL interchange format."""
-    with _open_binary(path) as handle:
+    with _open_binary(path) as handle, _decoding(path):
         for lineno, raw in enumerate(
             io.TextIOWrapper(handle, encoding="utf-8"), start=1
         ):
@@ -171,16 +209,18 @@ def iter_jsonl(path) -> Iterator[InstructionRecord]:
                 continue
             try:
                 obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise TypeError("not a JSON object")
                 ip = _parse_ip(obj["ip"])
+                size = _parse_size(obj.get("size"))
             except (KeyError, ValueError, TypeError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad record: {exc}") from exc
-            size = int(obj.get("size") or 0)
             yield ip, size, _parse_taken(obj.get("taken", False))
 
 
 def iter_csv(path) -> Iterator[InstructionRecord]:
     """Decode the CSV interchange format (``ip[,size[,taken]]``)."""
-    with _open_binary(path) as handle:
+    with _open_binary(path) as handle, _decoding(path):
         reader = _csv.reader(io.TextIOWrapper(handle, encoding="utf-8"))
         for lineno, row in enumerate(reader, start=1):
             if not row or not row[0].strip():
@@ -192,7 +232,10 @@ def iter_csv(path) -> Iterator[InstructionRecord]:
                 ip = _parse_ip(row[0])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad ip: {exc}") from exc
-            size = int(row[1]) if len(row) > 1 and row[1].strip() else 0
+            try:
+                size = _parse_size(row[1].strip() if len(row) > 1 else None)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: bad size: {exc}") from exc
             taken = _parse_taken(row[2]) if len(row) > 2 else False
             yield ip, size, taken
 
@@ -470,12 +513,8 @@ def write_champsim_fixture(path, program: Program, trace: BlockTrace,
     """Write a ChampSim-style binary fixture for *trace*; returns the
     record count.  ``compress`` is ``None``, ``"gz"`` or ``"xz"``."""
     if compress == "gz":
-        import gzip
-
         opener = gzip.open
     elif compress == "xz":
-        import lzma
-
         opener = lzma.open
     elif compress is None:
         opener = open

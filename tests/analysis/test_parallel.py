@@ -81,6 +81,79 @@ class TestParallelEqualsSerial:
         assert evaluator._ephemeral_store is not None
 
 
+class TestInheritedApps:
+    """Workers inherit the parent's synthesized apps and traces, and
+    the profile-free variants run in the first wave."""
+
+    def test_apps_synthesized_once_each_in_the_parent(self):
+        perf = PerfRegistry()
+        evaluator = Evaluator(
+            config=RunConfig(settings=SETTINGS, jobs=2, perf=perf)
+        )
+        evaluator.prewarm(apps=APPS, variants=VARIANTS)
+        # the parent built both apps, so any worker synthesis would
+        # push the merged count past one per app
+        assert all(evaluator[name]._app is not None for name in APPS)
+        assert perf.calls("synthesize") == len(APPS)
+
+    def test_first_wave_holds_the_profile_free_variants(self):
+        from repro.analysis.experiments import MATRIX_PREFETCHERS
+        from repro.analysis.jobs import _needs_profile
+
+        early = [v for v in MATRIX_PREFETCHERS if not _needs_profile(v)]
+        assert early == ["baseline", "ideal", "fdip", "nextline"]
+
+    def test_bit_identical_with_fresh_and_warm_store(
+        self, tmp_path, serial_evaluator
+    ):
+        variants = VARIANTS + ("nextline",)
+        expected = {
+            variant: stats_to_record(
+                serial_evaluator["wordpress"].stats_for(variant)
+            )
+            for variant in variants
+        }
+        for state in ("fresh", "warm"):
+            perf = PerfRegistry()
+            evaluator = Evaluator(
+                config=RunConfig(
+                    settings=SETTINGS, jobs=2, store=tmp_path / "cache",
+                    perf=perf,
+                )
+            )
+            evaluator.prewarm(apps=["wordpress"], variants=variants)
+            for variant in variants:
+                assert (
+                    stats_to_record(evaluator["wordpress"].stats_for(variant))
+                    == expected[variant]
+                ), f"{variant} diverged with a {state} store"
+            if state == "warm":
+                assert perf.calls("simulate") == 0
+
+    @pytest.mark.parametrize("inherit", (False, True))
+    def test_worker_with_or_without_inherited_app(
+        self, tmp_path, serial_records, inherit
+    ):
+        from repro.analysis import jobs
+        from repro.obs.trace import set_tracer
+
+        table = {}
+        if inherit:
+            evaluation = Evaluator(SETTINGS)["wordpress"]
+            table["wordpress"] = (evaluation.app, evaluation.eval_trace)
+        jobs._inherit(table)
+        try:
+            _, _, stats, snapshot, _ = jobs.evaluate_variant(
+                "wordpress", "baseline", SETTINGS, str(tmp_path)
+            )
+        finally:
+            jobs._inherit({})
+            set_tracer(None)
+        assert stats_to_record(stats) == serial_records[("wordpress", "baseline")]
+        synthesized = snapshot.get("synthesize", (0, 0.0, 0))[0]
+        assert synthesized == (0 if inherit else 1)
+
+
 class TestPersistentWarmRun:
     def test_second_run_skips_profiling_and_simulation(
         self, tmp_path, serial_records

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from repro.cli import FIGURES, build_parser, main
+from repro.cli import FIGURE_VARIANTS, FIGURES, build_parser, main
 
 FAST = ["--scale", "0.15", "--profile-blocks", "6000",
         "--eval-blocks", "8000", "--warmup", "1500"]
@@ -56,6 +56,29 @@ class TestParser:
             assert function.__name__.startswith(key + "_"), (
                 f"FIGURES[{key!r}] points at {function.__name__}"
             )
+
+
+class TestFigureVariants:
+    @pytest.mark.parametrize("name", sorted(FIGURE_VARIANTS))
+    def test_figure_variants_cover_what_the_figure_reads(self, name):
+        """Prewarming a figure's FIGURE_VARIANTS entry leaves the
+        figure nothing to simulate."""
+        from repro.analysis.experiments import Evaluator, ExperimentSettings
+        from repro.perf import PerfRegistry
+        from repro.runconfig import RunConfig
+
+        perf = PerfRegistry()
+        evaluator = Evaluator(config=RunConfig(
+            settings=ExperimentSettings(
+                profile_length=6000, eval_length=8000, warmup=1500,
+                scale=0.15,
+            ),
+            perf=perf,
+        ))
+        evaluator.prewarm(apps=["wordpress"], variants=FIGURE_VARIANTS[name])
+        before = perf.calls("simulate")
+        FIGURES[name](evaluator, apps=["wordpress"])
+        assert perf.calls("simulate") == before
 
 
 class TestCommands:
@@ -170,3 +193,7 @@ class TestTelemetryFlags:
         out = capsys.readouterr().out
         assert "simulate" in out
         assert "total" in out
+        assert "elapsed wall" in out
+        assert "parallel efficiency" in out
+        backend_rows = re.findall(r"^simulate:\S+\s+\d+\s+(\S+)", out, re.M)
+        assert backend_rows and all(float(s) > 0 for s in backend_rows)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pickle
 import time
 
-from repro.perf import REGISTRY, PerfRegistry, registry
+from repro.perf import REGISTRY, PerfRegistry, cpu_seconds, registry
 
 
 class TestStageCounter:
@@ -28,6 +28,14 @@ class TestStageCounter:
         except RuntimeError:
             pass
         assert reg.calls("simulate") == 1
+
+    def test_stage_detail_gets_the_same_seconds_and_units(self):
+        reg = PerfRegistry()
+        with reg.stage("simulate", units=40) as timed:
+            time.sleep(0.002)
+            timed.detail = "simulate:columnar"
+        assert timed.seconds > 0.0
+        assert reg.counter("simulate:columnar") == reg.counter("simulate")
 
     def test_count_is_instantaneous(self):
         reg = PerfRegistry()
@@ -134,6 +142,22 @@ class TestReport:
 
     def test_report_on_empty_registry(self):
         assert "total" in PerfRegistry().report()
+
+    def test_report_with_elapsed_time_shows_parallel_efficiency(self):
+        reg = PerfRegistry()
+        reg.add("simulate", seconds=7.0)
+        text = reg.report(wall_s=2.0, cpu_s=3.0, jobs=2)
+        assert "2.000s elapsed wall, 3.000s cpu" in text
+        assert "parallel efficiency: 0.75" in text
+        assert "7.000s summed" not in text
+
+
+def test_cpu_seconds_counts_this_process():
+    before = cpu_seconds()
+    deadline = time.process_time() + 0.02
+    while time.process_time() < deadline:
+        pass
+    assert cpu_seconds() - before >= 0.015
 
 
 def test_registry_helper_prefers_override():

@@ -9,10 +9,15 @@ live in ``tests/sim/test_ingest_differential.py``.
 
 from __future__ import annotations
 
+import contextlib
 import gzip
 import json
+import lzma
+import signal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.trace import (
     BlockTrace,
@@ -281,3 +286,119 @@ class TestCLI:
         with open(out / ing.REPORT_FILE) as handle:
             report = json.load(handle)
         assert report["replay"]["l1i_mpki"] > 0
+
+
+# ---------------------------------------------------------------------------
+# untrusted bytes: parse or raise ValueError, never crash or hang
+# ---------------------------------------------------------------------------
+
+#: wall-clock bound on ingesting one small untrusted file
+UNTRUSTED_BOUND_S = 5.0
+
+_COMPRESSORS = {None: bytes, "gz": gzip.compress, "xz": lzma.compress}
+_SUFFIX = {"champsim": ".champsim", "jsonl": ".jsonl", "csv": ".csv"}
+
+
+@contextlib.contextmanager
+def _time_bound(seconds):
+    """Raise TimeoutError in the enclosed block after *seconds*."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"ingest still running after {seconds}s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _well_formed(fmt, records):
+    """A valid encoding of *records* ``(ip, size, taken)`` in *fmt*."""
+    if fmt == "champsim":
+        return b"".join(
+            ing.champsim_record(ip, taken, taken) for ip, _size, taken in records
+        )
+    if fmt == "jsonl":
+        return "".join(
+            json.dumps({"ip": ip, "size": size, "taken": taken}) + "\n"
+            for ip, size, taken in records
+        ).encode()
+    return ("ip,size,taken\n" + "".join(
+        f"{ip:#x},{size},{int(taken)}\n" for ip, size, taken in records
+    )).encode()
+
+
+@st.composite
+def _untrusted_bytes(draw, fmt, compress):
+    """Random bytes, or a well-formed file, compressed as asked, then
+    possibly truncated or bit-flipped."""
+    if draw(st.booleans()):
+        payload = draw(st.binary(max_size=600))
+    else:
+        records = draw(st.lists(
+            st.tuples(
+                st.integers(0, 1 << 20),
+                st.integers(0, ing.MAX_INSTRUCTION_BYTES),
+                st.booleans(),
+            ),
+            min_size=1, max_size=24,
+        ))
+        payload = _well_formed(fmt, records)
+    raw = _COMPRESSORS[compress](payload)
+    damage = draw(st.sampled_from(("none", "truncate", "flip")))
+    if damage == "truncate" and raw:
+        raw = raw[: draw(st.integers(0, len(raw) - 1))]
+    elif damage == "flip" and raw:
+        at = draw(st.integers(0, len(raw) - 1))
+        mask = draw(st.integers(1, 255))
+        raw = raw[:at] + bytes([raw[at] ^ mask]) + raw[at + 1:]
+    return raw
+
+
+class TestUntrustedBytes:
+    @pytest.mark.parametrize("compress", (None, "gz", "xz"))
+    @pytest.mark.parametrize("fmt", ing.FORMATS)
+    def test_parse_or_value_error(self, fmt, compress, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("untrusted")
+        name = "t" + _SUFFIX[fmt] + (f".{compress}" if compress else "")
+        path = directory / name
+
+        @settings(max_examples=40, deadline=None)
+        @given(raw=_untrusted_bytes(fmt, compress))
+        def check(raw):
+            path.write_bytes(raw)
+            with _time_bound(UNTRUSTED_BOUND_S):
+                try:
+                    work = ing.ingest_trace_file(path)
+                except ValueError:
+                    return
+            assert work.report["records"] > 0
+            assert work.report["format"] == fmt
+
+        check()
+
+    @pytest.mark.parametrize("compress", ("gz", "xz"))
+    def test_damaged_compressed_file_names_the_file(self, tmp_path, compress):
+        raw = _COMPRESSORS[compress](
+            _well_formed("champsim", [(0x1000, 4, False)] * 64)
+        )
+        cut = tmp_path / f"cut.champsim.{compress}"
+        cut.write_bytes(raw[: len(raw) // 2])
+        with pytest.raises(ValueError, match="cut.champsim"):
+            ing.ingest_trace_file(cut)
+
+    @pytest.mark.parametrize("size", ("-1", "17", "99999999999"))
+    def test_out_of_range_size_rejected(self, tmp_path, size):
+        path = tmp_path / "t.csv"
+        path.write_text(f"0x1000,{size}\n")
+        with pytest.raises(ValueError, match="bad size"):
+            list(ing.iter_csv(path))
+
+    def test_ip_beyond_64_bits_rejected(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text(json.dumps({"ip": 1 << 64}) + "\n")
+        with pytest.raises(ValueError, match=":1:"):
+            list(ing.iter_jsonl(path))
