@@ -97,8 +97,8 @@ GUARDS = {
         "label": "measured plan-batched sweep speedup",
         "hint": (
             "the plan-batched sweep's measured speedup regressed; "
-            "check the batch_phase_seconds decomposition for "
-            "per-variant work creeping into a shared phase, or "
+            "check that the batch still builds each shard's "
+            "plan-independent precompute once for all variants, or "
             "consciously recommit the benchmark JSON with "
             "justification"
         ),

@@ -34,6 +34,9 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
+from .. import kernel
+from ..sim import native
+
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from ..sim.stats import SimStats
     from .experiments import Evaluator, ExperimentSettings
@@ -282,6 +285,12 @@ def run_prewarm_jobs(
             inherited[name] = (evaluation.app, evaluation.eval_trace)
     early = [v for v in variants if not _needs_profile(v)]
     late = [v for v in variants if _needs_profile(v)]
+    if kernel.numpy_enabled():
+        # Load (building on first use) the compiled replay kernel before
+        # the pool starts: forked workers inherit the mapped library and
+        # never compile it at once.  A missing kernel is recorded, not
+        # raised; the workers then run the reference loop.
+        native.status()
 
     def absorb(snapshot, events) -> None:
         perf.merge(snapshot)

@@ -31,7 +31,9 @@ MANIFEST_FORMAT = "run-manifest"
 # "clamped") when the multi-level parallel executor landed.
 # Version 3 added the "batch" section (plan-batched sweep replay:
 # the --plan-batch mode, sweep/variant/fallback counts).
-MANIFEST_VERSION = 3
+# Version 4 added the compiled replay kernel to the "kernel" section
+# (whether it loaded, its source digest and the compiler).
+MANIFEST_VERSION = 4
 
 PathLike = Union[str, Path]
 
@@ -71,6 +73,9 @@ MANIFEST_SCHEMA: Dict[str, Any] = {
         "numpy_enabled": bool,
         "env": (str, type(None)),   # REPRO_NUMPY_KERNEL at collect time
         "forced": (bool, type(None)),
+        "compiled": bool,           # compiled replay kernel loaded
+        "source_sha256": str,       # replay_kernel.c digest
+        "compiler": (str, type(None)),  # C compiler used, None = none found
     },
     "store": {
         "present": bool,
@@ -217,6 +222,7 @@ class RunManifest:
 
         import repro
         from .. import kernel
+        from ..sim import native
 
         parallel_cfg = getattr(evaluator, "parallel", None)
         budget_record = getattr(evaluator, "parallel_budget", None)
@@ -292,6 +298,7 @@ class RunManifest:
                 "numpy_enabled": kernel.numpy_enabled(),
                 "env": os.environ.get(kernel.NUMPY_KERNEL_ENV),
                 "forced": kernel._forced,
+                **native.status().manifest_fields(),
             },
             "store": store_section,
             "batch": {

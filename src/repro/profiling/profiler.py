@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import kernel
+from ..sim import native
 from ..sim.cpu import TraceObserver, simulate
 from ..sim.params import MachineParams
 from ..sim.stats import SimStats
@@ -261,7 +262,7 @@ def profile_execution(
         if shard_insns is None:
             shard_insns = trace.shard_insns
         trace = trace.materialize()
-    columnar = kernel.numpy_enabled()
+    columnar = kernel.numpy_enabled() and not native.unavailable_reason()
     span_args = dict(
         program=program.name,
         blocks=len(trace.block_ids),

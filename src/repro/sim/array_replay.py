@@ -15,10 +15,11 @@ connected only through their access *streams*:
 
 1. the L1I access stream is a CSR gather of each executed block's
    cache lines (``repro.sim.columnar``);
-2. exact per-access LRU outcomes come from a compact set-associative
-   sweep (:func:`_lru_stream`) — LRU state is inherently sequential,
-   so this stays a lean Python loop over flat arrays, everything
-   around it is vectorized;
+2. exact per-access LRU outcomes come from the compiled sweep
+   (``lru_sweep`` in ``replay_kernel.c``, loaded by
+   :mod:`repro.sim.native`) over the carry's dense per-level state —
+   LRU state is inherently sequential, so this one loop runs in C and
+   everything around it is vectorized;
 3. the L2 stream merges instruction L1 misses with the data-traffic
    stream (replayed through the *real* :class:`DataTrafficModel`, so
    the RNG and fractional-accumulator sequences match exactly), and
@@ -29,24 +30,35 @@ connected only through their access *streams*:
    left-to-right fold, matching repeated ``+=``), and the fill-port
    stall arithmetic at each missing block runs scalar, in line order.
 
-Because every float is produced by the identical operation sequence
-and every counter from the identical event set, equality with the
-reference is exact, not approximate — the differential tests in
+The plan-bearing replay vectorizes every *decision* (conditional
+fire/suppress outcomes, Fig. 21 ground truth, coalesced targets) and
+hands the sequential rest — prefetch issue, the L1I demand walk, L2/L3
+fills, data traffic, the in-flight map and the fill-port timing fold —
+to the compiled ``plan_walk``.  Both kernels replay the reference's
+operations in its order and are built without float contraction or
+fast-math, so every float is produced by the identical operation
+sequence and every counter from the identical event set: equality with
+the reference is exact, not approximate — the differential tests in
 ``tests/sim/test_array_replay.py`` assert ``==``, never ``approx``.
+
+Replay state lives in dense per-level arrays (:class:`DenseLevel`) that
+the kernels update in place across shards.  Caches adopt it as is; the
+Python-shaped views (:class:`LRUStack` sets, recency dicts, checkpoint
+lists) are rebuilt only by the converters on :class:`DenseLevel`, for
+the readers that need them.  With no C compiler the simulator does not
+come here: it runs the reference loop (see :mod:`repro.sim.native`).
 """
 
 from __future__ import annotations
 
-import gc
-import time
-
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..obs.trace import get_tracer
+from . import native
 from .columnar import columnar_view
 from .hierarchy import MemoryHierarchy
 from .params import MachineParams
@@ -71,54 +83,128 @@ class ReplayEvents:
     miss_cycles: np.ndarray
 
 
+class DenseLevel:
+    """One cache level's replay state, in the compiled kernel's layout.
+
+    Way ``k`` of set ``s`` is ``tags[s * ways + k]``; the first
+    ``fill[s]`` ways are valid, MRU first, and ``pend`` flags the lines
+    filled by a prefetch and not yet demanded (each flag moves with its
+    tag).  ``touched`` marks every set the reference simulator would
+    have created — any probe creates one, even when nothing is filled.
+
+    The methods below are the only converters to and from the
+    Python-shaped state other code reads, one per reader: cache
+    adoption (:meth:`cache_state`), checkpoints (:meth:`mru_lists`,
+    :meth:`pending_lines`, :meth:`load_mru_lists`) and the parallel
+    executor's recency dicts (:meth:`to_recency`, :meth:`load_recency`).
+    """
+
+    __slots__ = ("num_sets", "ways", "pd", "tags", "fill", "pend", "touched")
+
+    def __init__(self, num_sets: int, ways: int, pd: int = 0):
+        self.num_sets = num_sets
+        self.ways = ways
+        self.pd = pd
+        self.tags = np.zeros(num_sets * ways, dtype=np.int64)
+        self.fill = np.zeros(num_sets, dtype=np.int64)
+        self.pend = np.zeros(num_sets * ways, dtype=np.uint8)
+        self.touched = np.zeros(num_sets, dtype=np.uint8)
+
+    def _valid(self) -> np.ndarray:
+        """``(num_sets, ways)`` mask of occupied ways."""
+        return np.arange(self.ways) < self.fill[:, None]
+
+    def mru_lists(self) -> List[Tuple[int, List[int]]]:
+        """``(set, lines MRU first)`` for every touched set, by index."""
+        touched = np.flatnonzero(self.touched)
+        tags = self.tags.reshape(self.num_sets, self.ways)[touched]
+        return [
+            (s, row[:f])
+            for s, f, row in zip(
+                touched.tolist(), self.fill[touched].tolist(), tags.tolist()
+            )
+        ]
+
+    def pending_lines(self) -> List[int]:
+        mask = (self.pend.reshape(self.num_sets, self.ways) != 0) & self._valid()
+        return sorted(self.tags.reshape(self.num_sets, self.ways)[mask].tolist())
+
+    def load_mru_lists(self, entries, pending=()) -> None:
+        """Replace the state with *entries* (``(set, lines MRU first)``
+        pairs, empty lists allowed) and the *pending* lines."""
+        self.tags[:] = 0
+        self.fill[:] = 0
+        self.pend[:] = 0
+        self.touched[:] = 0
+        pending = set(pending)
+        ways = self.ways
+        for set_index, lines in entries:
+            set_index = int(set_index)
+            lines = [int(line) for line in lines]
+            if not 0 <= set_index < self.num_sets or len(lines) > ways:
+                raise ValueError(f"bad cache set {set_index} in replay state")
+            base = set_index * ways
+            self.touched[set_index] = 1
+            self.fill[set_index] = len(lines)
+            self.tags[base:base + len(lines)] = lines
+            for k, line in enumerate(lines):
+                if line in pending:
+                    self.pend[base + k] = 1
+
+    def cache_state(self) -> Tuple[Dict[int, LRUStack], set]:
+        """The :class:`~repro.sim.cache.Cache` structures: per-set
+        :class:`LRUStack` objects and the pending-prefetch set."""
+        sets: Dict[int, LRUStack] = {}
+        for set_index, lines in self.mru_lists():
+            stack = LRUStack(self.ways)
+            stack._stack = lines
+            sets[set_index] = stack
+        return sets, set(self.pending_lines())
+
+    def to_recency(self) -> Dict[int, Dict[int, None]]:
+        """Per-set ordered ``{line: None}`` dicts, oldest first, for the
+        sets holding lines (the parallel executor's composition form)."""
+        return {
+            set_index: dict.fromkeys(reversed(lines))
+            for set_index, lines in self.mru_lists()
+            if lines
+        }
+
+    def load_recency(self, state: Dict[int, Dict[int, None]]) -> None:
+        self.load_mru_lists(
+            (set_index, list(reversed(list(recency))))
+            for set_index, recency in state.items()
+        )
+
+
 def _lru_stream(
     lines: List[int],
     sets: List[int],
     ways: int,
     state: Optional[Dict[int, Dict[int, None]]] = None,
-) -> Tuple[bytearray, bytearray, Dict[int, "OrderedDict[int, None]"]]:
-    """Exact per-access LRU hit/evict outcomes for one cache level.
+) -> Tuple[bytearray, bytearray, Dict[int, Dict[int, None]]]:
+    """Dict-state adapter over the compiled LRU sweep.
 
-    Demand fill on every miss, MRU insertion, LRU victim — the only
-    policy the no-plan path exercises.  Returns per-access hit and
-    eviction flags plus the final per-set recency state (oldest
-    first), which :meth:`~repro.sim.cache.Cache.install_residency`
-    turns back into :class:`LRUStack` contents.  Passing *state* continues a previous
-    sweep from its final residency (shard-carried replay): the first
-    access of the continuation takes the general dict path, which is
-    outcome- and state-identical to the back-to-back shortcut.
+    Demand fill on every miss, MRU insertion, LRU victim.  Returns
+    per-access hit and eviction flags plus the final per-set recency
+    state (oldest first); a given *state* continues a previous sweep
+    and is updated in place.  The replay itself sweeps dense state
+    (:func:`repro.sim.native.lru_sweep`); this form serves the parallel
+    executor, whose composition law works on recency dicts.
     """
-    hits = bytearray(len(lines))
-    evicts = bytearray(len(lines))
     if state is None:
         state = {}
-    get_set = state.get
-    index = 0
-    previous = -1
-    for line, set_index in zip(lines, sets):
-        if line == previous:
-            # Back-to-back access to one line: it is resident and
-            # already MRU of its set, so the hit changes nothing.
-            hits[index] = 1
-            index += 1
-            continue
-        previous = line
-        recency = get_set(set_index)
-        if recency is None:
-            state[set_index] = {line: None}
-        elif line in recency:
-            hits[index] = 1
-            # Delete + reinsert moves the key to the MRU (newest) end;
-            # plain dicts preserve insertion order.
-            del recency[line]
-            recency[line] = None
-        else:
-            recency[line] = None
-            if len(recency) > ways:
-                del recency[next(iter(recency))]
-                evicts[index] = 1
-        index += 1
-    return hits, evicts, state
+    lines_a = np.asarray(lines, dtype=np.int64)
+    sets_a = np.asarray(sets, dtype=np.int64)
+    num_sets = 1 + max(
+        max(state, default=0), int(sets_a.max()) if len(sets_a) else 0
+    )
+    level = DenseLevel(num_sets, ways)
+    level.load_recency(state)
+    hits, evicts = native.lru_sweep(level, lines_a, sets_a)
+    state.clear()
+    state.update(level.to_recency())
+    return bytearray(hits.tobytes()), bytearray(evicts.tobytes()), state
 
 
 class _DataRecorder:
@@ -363,7 +449,7 @@ class ArrayCarry:
     """
 
     __slots__ = (
-        "l1_state", "l2_state", "l3_state",
+        "l1", "l2", "l3",
         "now", "busy", "frontend_stalls",
         "l1_dh", "l1_dm", "l1_ev",
         "l2_dh", "l2_dm", "l2_ev",
@@ -372,10 +458,10 @@ class ArrayCarry:
         "miss_level_counts",
     )
 
-    def __init__(self):
-        self.l1_state: Dict[int, Dict[int, None]] = {}
-        self.l2_state: Dict[int, Dict[int, None]] = {}
-        self.l3_state: Dict[int, Dict[int, None]] = {}
+    def __init__(self, machine: MachineParams):
+        self.l1 = DenseLevel(machine.l1i.num_sets, machine.l1i.ways)
+        self.l2 = DenseLevel(machine.l2.num_sets, machine.l2.ways)
+        self.l3 = DenseLevel(machine.l3.num_sets, machine.l3.ways)
         self.now = 0.0
         self.busy = 0.0
         self.frontend_stalls = 0.0
@@ -386,6 +472,11 @@ class ArrayCarry:
         self.l1i_misses = 0
         self.program_instructions = 0
         self.miss_level_counts: Dict[str, int] = {}
+
+
+def _sweep(level: DenseLevel, lines: np.ndarray):
+    """One level's compiled LRU sweep; set indices from NumPy ``%``."""
+    return native.lru_sweep(level, lines, lines % level.num_sets)
 
 
 def _gather_l1(view, rows: np.ndarray):
@@ -547,10 +638,6 @@ def array_shard_replay(
     offset: int = 0,
     eff: int = 0,
     record_events: bool = False,
-    l1_precomputed: Optional[tuple] = None,
-    l2_precomputed: Optional[tuple] = None,
-    l3_precomputed: Optional[tuple] = None,
-    data_stream: Optional[tuple] = None,
 ) -> Optional[ReplayEvents]:
     """Replay one shard (trace rows at global positions ``offset ..
     offset+len(rows)``) of the no-plan columnar path, continuing from
@@ -562,18 +649,6 @@ def array_shard_replay(
     does; otherwise this shard's counts accumulate onto the carry.
     With ``record_events`` the per-shard observer view is returned,
     with ``miss_trace_index`` already global.
-
-    ``l1_precomputed``/``l2_precomputed``/``l3_precomputed`` are the
-    parallel executor's injection points: each is a ``(hits_bytes,
-    evicts_bytes, end_state)`` triple from a worker that already ran
-    the exact LRU sweep of that level for this shard (from the
-    composed true start state).  The corresponding sweep is skipped
-    and the end state installed; every other operation — stream
-    derivation, timing, counters — runs unchanged, which is what
-    keeps the parallel exact mode bit-identical to this sequential
-    path.  ``data_stream`` is a ``(lines, counts)`` pair the caller
-    already decoded from the data-traffic model (the caller owns
-    advancing the model); when absent the model is decoded here.
     """
     n_local = len(rows)
     reset_local = eff - offset if offset <= eff < offset + n_local else None
@@ -582,19 +657,7 @@ def array_shard_replay(
     # -- L1I access stream (CSR gather of each block's lines) ----------
     counts_pe, cum_pe, block_of_access, l1_lines = _gather_l1(view, rows)
     total_accesses = int(cum_pe[-1])
-
-    l1_geom = machine.l1i
-    if l1_precomputed is None:
-        l1_hits_b, l1_evicts_b, _ = _lru_stream(
-            l1_lines.tolist(),
-            (l1_lines % l1_geom.num_sets).tolist(),
-            l1_geom.ways,
-            carry.l1_state,
-        )
-    else:
-        l1_hits_b, l1_evicts_b, l1_end_state = l1_precomputed
-        carry.l1_state = l1_end_state
-    l1_hits = _flags(l1_hits_b)
+    l1_hits, l1_evicts = _sweep(carry.l1, l1_lines)
 
     miss_pos = np.flatnonzero(~l1_hits)
     miss_lines = l1_lines[miss_pos]
@@ -602,48 +665,22 @@ def array_shard_replay(
     n_miss = len(miss_pos)
 
     # -- data-traffic stream (exact model replay, per retired block) ---
-    if data_stream is not None:
-        data_lines_py, data_counts_py = data_stream
-    else:
-        data_lines_py, data_counts_py = _decode_data_stream(
-            data_traffic, view.instruction_counts[rows].tolist()
-        )
+    data_lines_py, data_counts_py = _decode_data_stream(
+        data_traffic, view.instruction_counts[rows].tolist()
+    )
 
     # -- L2 stream: per block, instruction misses then data lines ------
     l2_lines, l2_blocks, l2_is_instr = _merge_l2_stream(
         miss_lines, miss_blocks, data_lines_py, data_counts_py, n_local
     )
-
-    l2_geom = machine.l2
-    if l2_precomputed is None:
-        l2_hits_b, l2_evicts_b, _ = _lru_stream(
-            l2_lines.tolist(),
-            (l2_lines % l2_geom.num_sets).tolist(),
-            l2_geom.ways,
-            carry.l2_state,
-        )
-    else:
-        l2_hits_b, l2_evicts_b, l2_end_state = l2_precomputed
-        carry.l2_state = l2_end_state
-    l2_hits = _flags(l2_hits_b)
+    l2_hits, l2_evicts = _sweep(carry.l2, l2_lines)
 
     # -- L3 stream: the L2 misses, in order ----------------------------
     l3_sel = ~l2_hits
     l3_lines = l2_lines[l3_sel]
     l3_blocks = l2_blocks[l3_sel]
     l3_is_instr = l2_is_instr[l3_sel]
-    l3_geom = machine.l3
-    if l3_precomputed is None:
-        l3_hits_b, l3_evicts_b, _ = _lru_stream(
-            l3_lines.tolist(),
-            (l3_lines % l3_geom.num_sets).tolist(),
-            l3_geom.ways,
-            carry.l3_state,
-        )
-    else:
-        l3_hits_b, l3_evicts_b, l3_end_state = l3_precomputed
-        carry.l3_state = l3_end_state
-    l3_hits = _flags(l3_hits_b)
+    l3_hits, l3_evicts = _sweep(carry.l3, l3_lines)
 
     # -- hit level of every instruction miss ---------------------------
     # Stable merging preserved the instruction subsequence's order at
@@ -689,7 +726,7 @@ def array_shard_replay(
         l1_hit_count = int(l1_hits.sum())
         carry.l1_dh += l1_hit_count
         carry.l1_dm += total_accesses - l1_hit_count
-        carry.l1_ev += int(_flags(l1_evicts_b).sum())
+        carry.l1_ev += int(l1_evicts.sum())
         carry.l1i_accesses += total_accesses
         carry.l1i_misses += n_miss
         carry.program_instructions += int(view.instruction_counts[rows].sum())
@@ -704,7 +741,7 @@ def array_shard_replay(
         l1_post_hits = int(l1_hits[first_access:].sum())
         carry.l1_dh = l1_post_hits
         carry.l1_dm = (total_accesses - first_access) - l1_post_hits
-        carry.l1_ev = int(_flags(l1_evicts_b)[first_access:].sum())
+        carry.l1_ev = int(l1_evicts[first_access:].sum())
         carry.l1i_accesses = int(counts_pe[reset_local:].sum())
         carry.l1i_misses = int((miss_blocks >= reset_local).sum())
         carry.program_instructions = int(
@@ -722,11 +759,11 @@ def array_shard_replay(
     l2_post_hits = int(l2_hits[l2_from:].sum())
     l2_dh = l2_post_hits
     l2_dm = (len(l2_lines) - l2_from) - l2_post_hits
-    l2_ev = int(_flags(l2_evicts_b)[l2_from:].sum())
+    l2_ev = int(l2_evicts[l2_from:].sum())
     l3_post_hits = int(l3_hits[l3_from:].sum())
     l3_dh = l3_post_hits
     l3_dm = (len(l3_lines) - l3_from) - l3_post_hits
-    l3_ev = int(_flags(l3_evicts_b)[l3_from:].sum())
+    l3_ev = int(l3_evicts[l3_from:].sum())
     if reset_local is None:
         carry.l2_dh += l2_dh
         carry.l2_dm += l2_dm
@@ -799,38 +836,12 @@ def array_replay(
     # The reference clears counters when `index == warmup`; a boundary
     # outside the trace never fires, so statistics then cover the run.
     eff = warmup if 0 < warmup < length else 0
-    carry = ArrayCarry()
+    carry = ArrayCarry(machine)
     events = array_shard_replay(
         view, rows, machine, carry, data_traffic, 0, eff, record_events
     )
     array_finish(carry, machine, stats, hierarchy)
     return events
-
-
-def _install_cache(cache, sets, pending, dh, dm, pf, ph, pu, ev) -> None:
-    """Install plan-replay residency + post-warmup counters into *cache*.
-
-    ``sets`` maps set index to the final recency list (MRU first) —
-    exactly the :class:`LRUStack` internal layout, so installation is
-    a wrap, not a conversion.
-    """
-    installed = cache._sets
-    installed.clear()
-    ways = cache.ways
-    for set_index, recency in sets.items():
-        stack = LRUStack(ways)
-        stack._stack = recency
-        installed[set_index] = stack
-    cache._pending_prefetched.clear()
-    cache._pending_prefetched.update(pending)
-    stats = cache.stats
-    stats.reset()
-    stats.demand_hits = dh
-    stats.demand_misses = dm
-    stats.prefetch_fills = pf
-    stats.prefetch_hits = ph
-    stats.prefetch_unused_evictions = pu
-    stats.evictions = ev
 
 
 class PlanContext:
@@ -855,8 +866,8 @@ class PlanContext:
         self.cpi = 1.0 / machine.base_ipc
         self.prefetch_cpi = 1.0 / machine.issue_width
 
-        # Plan-independent tables are cached on the view so batched
-        # sweeps build them once instead of once per variant.
+        # Plan-independent tables are cached on the view so the
+        # variants of a sweep build them once, not once each.
         statics = getattr(view, "_plan_static_cache", None)
         if statics is None:
             statics = {}
@@ -944,14 +955,16 @@ class PlanContext:
             self.pd1 = self.l1_ways // 2
             self.pd2 = self.l2_ways // 2
             self.pd3 = self.l3_ways // 2
-        self.pairs_list = view.line_set_pairs(self.l1_ns)
         incr_row = statics.get(("incr", self.cpi))
         if incr_row is None:
-            incr_row = (
-                view.instruction_counts.astype(np.float64) * self.cpi
-            ).tolist()
+            incr_row = view.instruction_counts.astype(np.float64) * self.cpi
             statics[("incr", self.cpi)] = incr_row
+        #: compute cycles per program row (the kernel's ``incr_row``)
         self.incr_row = incr_row
+        #: per-CSR-entry set indices of each level, for the kernel
+        self.line_sets = tuple(
+            view.line_sets(ns) for ns in (self.l1_ns, self.l2_ns, self.l3_ns)
+        )
         self.penalty = (
             0.0,
             float(machine.l2_latency),
@@ -969,10 +982,11 @@ class PlanContext:
 class PlanCarry:
     """Cross-shard state for the plan-bearing replay.
 
-    Flat mirrors of the reference structures (per-set recency lists,
-    residency/pending sets, the in-flight arrival map), the float
-    accumulators, the since-last-reset counters, and two id tails that
-    stand in for the sliding context windows at shard boundaries:
+    Dense per-level cache state (:class:`DenseLevel`, updated in place
+    by the compiled walk), the in-flight arrival map as two arrays in
+    insertion order, the float accumulators, the since-last-reset
+    counters, and two id tails that stand in for the sliding context
+    windows at shard boundaries:
 
     * ``tracker_tail`` — the last ``depth`` *hashed* retired block ids,
       oldest first.  Prepending them as a virtual prefix reproduces the
@@ -983,10 +997,8 @@ class PlanCarry:
     """
 
     __slots__ = (
-        "l1_sets", "l2_sets", "l3_sets",
-        "l1_res", "l2_res", "l3_res",
-        "l1_pend", "l2_pend", "l3_pend",
-        "inflight",
+        "l1", "l2", "l3",
+        "inflight_lines", "inflight_arrivals",
         "now", "busy", "frontend_stalls", "late_stall",
         "late_hits", "sim_misses", "issued", "resident",
         "c2", "c3", "cm",
@@ -999,31 +1011,17 @@ class PlanCarry:
     )
 
     def __init__(self, ctx: PlanContext):
-        self.l1_sets: list = [None] * ctx.l1_ns
-        self.l2_sets: list = [None] * ctx.l2_ns
-        self.l3_sets: list = [None] * ctx.l3_ns
-        self.l1_res: set = set()
-        self.l2_res: set = set()
-        self.l3_res: set = set()
-        self.l1_pend: set = set()
-        self.l2_pend: set = set()
-        self.l3_pend: set = set()
-        self.inflight: Dict[int, float] = {}
+        self.l1 = DenseLevel(ctx.l1_ns, ctx.l1_ways, ctx.pd1)
+        self.l2 = DenseLevel(ctx.l2_ns, ctx.l2_ways, ctx.pd2)
+        self.l3 = DenseLevel(ctx.l3_ns, ctx.l3_ways, ctx.pd3)
+        self.inflight_lines = np.empty(0, dtype=np.int64)
+        self.inflight_arrivals = np.empty(0, dtype=np.float64)
         self.now = 0.0
         self.busy = 0.0
         self.frontend_stalls = 0.0
         self.late_stall = 0.0
-        self.late_hits = 0
-        self.sim_misses = 0
-        self.issued = 0
-        self.resident = 0
-        self.c2 = self.c3 = self.cm = 0
-        self.l1_dh = self.l1_dm = self.l1_ph = 0
-        self.l1_pf = self.l1_pu = self.l1_ev = 0
-        self.l2_dh = self.l2_dm = self.l2_ph = 0
-        self.l2_pf = self.l2_pu = self.l2_ev = 0
-        self.l3_dh = self.l3_dm = self.l3_ph = 0
-        self.l3_pf = self.l3_pu = self.l3_ev = 0
+        for name in native.WALK_COUNTERS:
+            setattr(self, name, 0)
         self.l1i_accesses = 0
         self.program_instructions = 0
         self.suppressed = 0
@@ -1032,6 +1030,20 @@ class PlanCarry:
         self.fp = 0
         self.tracker_tail: list = []
         self.exact_tail: list = []
+
+    def inflight(self) -> Dict[int, float]:
+        """The in-flight map as a dict, in insertion order."""
+        return dict(
+            zip(self.inflight_lines.tolist(), self.inflight_arrivals.tolist())
+        )
+
+    def set_inflight(self, inflight: Dict[int, float]) -> None:
+        self.inflight_lines = np.fromiter(
+            inflight.keys(), dtype=np.int64, count=len(inflight)
+        )
+        self.inflight_arrivals = np.fromiter(
+            inflight.values(), dtype=np.float64, count=len(inflight)
+        )
 
 
 def _plan_shard_precompute(ctx: PlanContext, carry: PlanCarry, rows, offset,
@@ -1086,7 +1098,7 @@ def _plan_shard_precompute(ctx: PlanContext, carry: PlanCarry, rows, offset,
         n_tail = len(carry.tracker_tail)
         # The prefix-sum machinery (and every per-row window derived
         # from it) depends only on (hash table, depth, carried tail) —
-        # not the plan — so batched sweeps hand in a *shared* memo and
+        # not the plan — so a plan batch hands in a *shared* memo and
         # variants with matching configuration build it once.
         mkey = (
             "bloom", hash_bits, depth, tuple(carry.tracker_tail),
@@ -1252,13 +1264,15 @@ def _plan_shard_precompute(ctx: PlanContext, carry: PlanCarry, rows, offset,
             fires_by_row[row] = fires_list
 
     # -- per-execution site plan ---------------------------------------
-    # site_plan[t] is None for non-site executions, else a pair of
-    # (per-instruction targets-or-None list, pipeline-slot cost).
+    # Every occurrence of a site executes one *combination*: the lines
+    # its fired instructions target, in instruction order, and its
+    # pipeline-slot cost (suppressed instructions still occupy slots).
     # Conditional sites see only a handful of distinct fire/suppress
     # combinations across all their occurrences, so the decisions pack
-    # into a per-occurrence code and every occurrence shares one
-    # prebuilt (read-only) entry list per combination.
-    site_plan: list = [None] * n_local
+    # into a per-occurrence code and occurrences index a shared table:
+    # ``plan_id[t]`` is the combination block *t* executes, or -1.
+    plan_id = np.full(n_local, -1, dtype=np.int64)
+    combos: list = []
     prefetch_cpi = ctx.prefetch_cpi
     for row, instrs in site_rows.items():
         ts = occ_by_row.get(row)
@@ -1267,32 +1281,31 @@ def _plan_shard_precompute(ctx: PlanContext, carry: PlanCarry, rows, offset,
         cost = len(instrs) * prefetch_cpi
         fires_list = fires_by_row.get(row)
         if fires_list is None:
-            shared = ([instr.targets for instr in instrs], cost)
-            for t in ts.tolist():
-                site_plan[t] = shared
-        else:
-            targets = [instr.targets for instr in instrs]
-            codes = np.zeros(len(ts), dtype=np.int64)
-            always = 0
-            for j, fires in enumerate(fires_list):
-                if fires is None:
-                    always |= 1 << j
-                else:
-                    codes |= fires.astype(np.int64) << j
-            combos = {
-                int(code): (
-                    [
-                        targets[j]
-                        if (always >> j) & 1 or (code >> j) & 1
-                        else None
-                        for j in range(len(instrs))
-                    ],
-                    cost,
-                )
-                for code in np.unique(codes)
-            }
-            for code, t in zip(codes.tolist(), ts.tolist()):
-                site_plan[t] = combos[code]
+            plan_id[ts] = len(combos)
+            combos.append(
+                (tuple(chain.from_iterable(instr.targets for instr in instrs)),
+                 cost)
+            )
+            continue
+        codes = np.zeros(len(ts), dtype=np.int64)
+        always = 0
+        for j, fires in enumerate(fires_list):
+            if fires is None:
+                always |= 1 << j
+            else:
+                codes |= fires.astype(np.int64) << j
+        uniq, inverse = np.unique(codes, return_inverse=True)
+        plan_id[ts] = len(combos) + inverse.reshape(-1)
+        for code in uniq.tolist():
+            fired = always | code
+            combos.append((
+                tuple(chain.from_iterable(
+                    instr.targets
+                    for j, instr in enumerate(instrs)
+                    if (fired >> j) & 1
+                )),
+                cost,
+            ))
 
     if len(site_pos):
         sel = site_pos if reset_local is None else site_pos[
@@ -1313,7 +1326,8 @@ def _plan_shard_precompute(ctx: PlanContext, carry: PlanCarry, rows, offset,
 
     return {
         "reset_local": reset_local,
-        "site_plan": site_plan,
+        "plan_id": plan_id,
+        "combos": combos,
         "suppressed": suppressed,
         "executed": executed,
         "tp": tp,
@@ -1331,6 +1345,7 @@ def plan_shard_replay(
     offset: int = 0,
     eff: int = 0,
     data_traffic=None,
+    shared: Optional[dict] = None,
 ) -> bool:
     """Replay one shard of the plan-bearing path, continuing from and
     updating *carry*.
@@ -1338,16 +1353,16 @@ def plan_shard_replay(
     Returns ``False`` — before mutating the carry or the data-traffic
     model — when a runtime-hash counter would overflow in this shard;
     the caller must finish the remaining trace with the reference loop
-    (which raises at the same push).
+    (which raises at the same push).  Variants replayed over the same
+    shard may pass one *shared* memo, so their plan-independent
+    precompute is built once.
     """
-    pre = _plan_shard_precompute(ctx, carry, rows, offset, eff)
+    pre = _plan_shard_precompute(ctx, carry, rows, offset, eff, shared)
     if pre is None:
         return False
 
     view = ctx.view
     reset_local = pre["reset_local"]
-    rows_list = rows.tolist()
-    site_plan = pre["site_plan"]
 
     # -- data-traffic stream (exact model replay, per retired block) ---
     # Past this point the replay mutates external state (the traffic
@@ -1355,379 +1370,72 @@ def plan_shard_replay(
     data_lines_py, data_counts_py = _decode_data_stream(
         data_traffic, view.instruction_counts[rows].tolist()
     )
-    if data_lines_py:
-        data_arr = np.asarray(data_lines_py, dtype=np.int64)
-        d2_list = (data_arr % ctx.l2_ns).tolist()
-        d3_list = (data_arr % ctx.l3_ns).tolist()
-    else:
-        d2_list = []
-        d3_list = []
+    # Identical model states decode to the same list objects, so the
+    # variants of a batch convert each stream once (the memo entry
+    # holds the list, so its id cannot be recycled).
+    dkey = ("data", id(data_lines_py), ctx.l2_ns, ctx.l3_ns)
+    data = shared.get(dkey) if shared is not None else None
+    if data is None:
+        data_line = np.asarray(data_lines_py, dtype=np.int64)
+        if data_counts_py:
+            data_count = np.asarray(data_counts_py, dtype=np.int64)
+        else:
+            data_count = np.zeros(len(rows), dtype=np.int64)
+        data = (data_lines_py, data_line, data_count,
+                data_line % ctx.l2_ns, data_line % ctx.l3_ns)
+        if shared is not None:
+            shared[dkey] = data
+    _lines_py, data_line, data_count, data_s2, data_s3 = data
 
-    l1_ns = ctx.l1_ns
-    l2_ns = ctx.l2_ns
-    l3_ns = ctx.l3_ns
-    l1_ways = ctx.l1_ways
-    l2_ways = ctx.l2_ways
-    l3_ways = ctx.l3_ways
-    pd1 = ctx.pd1
-    pd2 = ctx.pd2
-    pd3 = ctx.pd3
-    pairs_list = ctx.pairs_list
-    incr_row = ctx.incr_row
-    penalty = ctx.penalty
-    occupancy = ctx.occupancy
+    combos = pre["combos"]
+    combo_start = np.zeros(len(combos) + 1, dtype=np.int64)
+    np.cumsum([len(lines) for lines, _cost in combos], out=combo_start[1:])
+    tgt_line = np.fromiter(
+        chain.from_iterable(lines for lines, _cost in combos),
+        dtype=np.int64, count=int(combo_start[-1]),
+    )
 
-    # -- the sequential core loop --------------------------------------
-    # Continuation of the reference structures from the carry: per-set
-    # recency lists (MRU first — LRUStack's exact layout) in dense
-    # index-addressed tables, whole-cache residency sets, pending-
-    # prefetch sets, the in-flight arrival map and scalar counters.
-    l1_sets = carry.l1_sets
-    l2_sets = carry.l2_sets
-    l3_sets = carry.l3_sets
-    l1_res = carry.l1_res
-    l2_res = carry.l2_res
-    l3_res = carry.l3_res
-    l1_pend = carry.l1_pend
-    l2_pend = carry.l2_pend
-    l3_pend = carry.l3_pend
-    inflight = carry.inflight
-    inflight_pop = inflight.pop
-
-    now = carry.now
-    busy = carry.busy
-    frontend_stalls = carry.frontend_stalls
-    late_hits = carry.late_hits
-    late_stall = carry.late_stall
-    sim_misses = carry.sim_misses
-    issued = carry.issued
-    resident = carry.resident
-    c2 = carry.c2
-    c3 = carry.c3
-    cm = carry.cm
-    l1_dh, l1_dm, l1_ph = carry.l1_dh, carry.l1_dm, carry.l1_ph
-    l1_pf, l1_pu, l1_ev = carry.l1_pf, carry.l1_pu, carry.l1_ev
-    l2_dh, l2_dm, l2_ph = carry.l2_dh, carry.l2_dm, carry.l2_ph
-    l2_pf, l2_pu, l2_ev = carry.l2_pf, carry.l2_pu, carry.l2_ev
-    l3_dh, l3_dm, l3_ph = carry.l3_dh, carry.l3_dm, carry.l3_ph
-    l3_pf, l3_pu, l3_ev = carry.l3_pf, carry.l3_pu, carry.l3_ev
-    boundary = reset_local if reset_local is not None else -1
-    data_ptr = 0
-    data_counts_iter = data_counts_py if data_counts_py else repeat(0)
-
-    # The replay loop allocates only small transients; suspend the
-    # cyclic GC so that generation collections -- expensive when the
-    # surrounding process holds many live objects -- cannot fire
-    # mid-replay.  Reference counting still frees everything.
-    gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.disable()
-    try:
-        for t, (row, plan_entry, count) in enumerate(
-            zip(rows_list, site_plan, data_counts_iter)
-        ):
-            if t == boundary:
-                # Steady state begins: zero the counters, keep all state.
-                frontend_stalls = 0.0
-                late_hits = 0
-                late_stall = 0.0
-                sim_misses = issued = resident = 0
-                c2 = c3 = cm = 0
-                l1_dh = l1_dm = l1_ph = l1_pf = l1_pu = l1_ev = 0
-                l2_dh = l2_dm = l2_ph = l2_pf = l2_pu = l2_ev = 0
-                l3_dh = l3_dm = l3_ph = l3_pf = l3_pu = l3_ev = 0
-
-            if plan_entry is not None:
-                for targets in plan_entry[0]:
-                    if targets is None:
-                        continue  # suppressed (pre-counted vectorized)
-                    for line in targets:
-                        if line in inflight:
-                            resident += 1
-                            continue
-                        si1 = line % l1_ns
-                        s1 = l1_sets[si1]
-                        if s1 is None:
-                            s1 = []
-                            l1_sets[si1] = s1
-                        if line in l1_res:
-                            resident += 1
-                            continue
-                        si2 = line % l2_ns
-                        s2 = l2_sets[si2]
-                        if s2 is None:
-                            s2 = []
-                            l2_sets[si2] = s2
-                        if line in l2_res:
-                            level = 1
-                        else:
-                            si3 = line % l3_ns
-                            s3 = l3_sets[si3]
-                            if s3 is None:
-                                s3 = []
-                                l3_sets[si3] = s3
-                            if line in l3_res:
-                                level = 2
-                            else:
-                                level = 3
-                                if len(s3) >= l3_ways:
-                                    victim = s3.pop()
-                                    l3_res.discard(victim)
-                                    l3_ev += 1
-                                    if victim in l3_pend:
-                                        l3_pend.discard(victim)
-                                        l3_pu += 1
-                                s3.insert(pd3 if pd3 < len(s3) else len(s3), line)
-                                l3_res.add(line)
-                                l3_pf += 1
-                                l3_pend.add(line)
-                            if len(s2) >= l2_ways:
-                                victim = s2.pop()
-                                l2_res.discard(victim)
-                                l2_ev += 1
-                                if victim in l2_pend:
-                                    l2_pend.discard(victim)
-                                    l2_pu += 1
-                            s2.insert(pd2 if pd2 < len(s2) else len(s2), line)
-                            l2_res.add(line)
-                            l2_pf += 1
-                            l2_pend.add(line)
-                        if len(s1) >= l1_ways:
-                            victim = s1.pop()
-                            l1_res.discard(victim)
-                            l1_ev += 1
-                            if victim in l1_pend:
-                                l1_pend.discard(victim)
-                                l1_pu += 1
-                        s1.insert(pd1 if pd1 < len(s1) else len(s1), line)
-                        l1_res.add(line)
-                        l1_pf += 1
-                        l1_pend.add(line)
-                        issued += 1
-                        start = now if now > busy else busy
-                        busy = start + occupancy[level]
-                        arrival = start + penalty[level]
-                        if arrival > now:
-                            inflight[line] = arrival
-                now += plan_entry[1]
-
-            stall = 0.0
-            for line, si1 in pairs_list[row]:
-                arrival = inflight_pop(line, None)
-                if arrival is not None and arrival > now + stall:
-                    # Late prefetch: pay only the remaining latency; the
-                    # L1I access runs for its side effects alone.
-                    remainder = arrival - (now + stall)
-                    stall += remainder
-                    late_hits += 1
-                    late_stall += remainder
-                    s1 = l1_sets[si1]
-                    if s1 is None:
-                        l1_sets[si1] = []
-                        l1_dm += 1
-                    elif s1 and s1[0] == line:
-                        l1_dh += 1
-                        if line in l1_pend:
-                            l1_pend.discard(line)
-                            l1_ph += 1
-                    elif line in l1_res:
-                        s1.remove(line)
-                        s1.insert(0, line)
-                        l1_dh += 1
-                        if line in l1_pend:
-                            l1_pend.discard(line)
-                            l1_ph += 1
-                    else:
-                        l1_dm += 1
-                    continue
-                s1 = l1_sets[si1]
-                if s1 is None:
-                    s1 = []
-                    l1_sets[si1] = s1
-                elif s1 and s1[0] == line:
-                    l1_dh += 1
-                    if line in l1_pend:
-                        l1_pend.discard(line)
-                        l1_ph += 1
-                    continue
-                elif line in l1_res:
-                    s1.remove(line)
-                    s1.insert(0, line)
-                    l1_dh += 1
-                    if line in l1_pend:
-                        l1_pend.discard(line)
-                        l1_ph += 1
-                    continue
-                l1_dm += 1
-                si2 = line % l2_ns
-                s2 = l2_sets[si2]
-                if s2 is None:
-                    s2 = []
-                    l2_sets[si2] = s2
-                    l2_hit = False
-                elif s2 and s2[0] == line:
-                    l2_hit = True
-                elif line in l2_res:
-                    s2.remove(line)
-                    s2.insert(0, line)
-                    l2_hit = True
-                else:
-                    l2_hit = False
-                if l2_hit:
-                    l2_dh += 1
-                    if line in l2_pend:
-                        l2_pend.discard(line)
-                        l2_ph += 1
-                    level = 1
-                    c2 += 1
-                else:
-                    l2_dm += 1
-                    si3 = line % l3_ns
-                    s3 = l3_sets[si3]
-                    if s3 is None:
-                        s3 = []
-                        l3_sets[si3] = s3
-                        l3_hit = False
-                    elif s3 and s3[0] == line:
-                        l3_hit = True
-                    elif line in l3_res:
-                        s3.remove(line)
-                        s3.insert(0, line)
-                        l3_hit = True
-                    else:
-                        l3_hit = False
-                    if l3_hit:
-                        l3_dh += 1
-                        if line in l3_pend:
-                            l3_pend.discard(line)
-                            l3_ph += 1
-                        level = 2
-                        c3 += 1
-                    else:
-                        l3_dm += 1
-                        level = 3
-                        cm += 1
-                        if len(s3) >= l3_ways:
-                            victim = s3.pop()
-                            l3_res.discard(victim)
-                            l3_ev += 1
-                            if victim in l3_pend:
-                                l3_pend.discard(victim)
-                                l3_pu += 1
-                        s3.insert(0, line)
-                        l3_res.add(line)
-                    if len(s2) >= l2_ways:
-                        victim = s2.pop()
-                        l2_res.discard(victim)
-                        l2_ev += 1
-                        if victim in l2_pend:
-                            l2_pend.discard(victim)
-                            l2_pu += 1
-                    s2.insert(0, line)
-                    l2_res.add(line)
-                if len(s1) >= l1_ways:
-                    victim = s1.pop()
-                    l1_res.discard(victim)
-                    l1_ev += 1
-                    if victim in l1_pend:
-                        l1_pend.discard(victim)
-                        l1_pu += 1
-                s1.insert(0, line)
-                l1_res.add(line)
-                sim_misses += 1
-                start = now + stall
-                if start < busy:
-                    start = busy
-                busy = start + occupancy[level]
-                stall = (start + penalty[level]) - now
-            if stall:
-                frontend_stalls += stall
-                now += stall
-            now += incr_row[row]
-
-            if count:
-                for j in range(data_ptr, data_ptr + count):
-                    line = data_lines_py[j]
-                    si2 = d2_list[j]
-                    s2 = l2_sets[si2]
-                    if s2 is None:
-                        s2 = []
-                        l2_sets[si2] = s2
-                        l2_hit = False
-                    elif s2 and s2[0] == line:
-                        l2_hit = True
-                    elif line in l2_res:
-                        s2.remove(line)
-                        s2.insert(0, line)
-                        l2_hit = True
-                    else:
-                        l2_hit = False
-                    if l2_hit:
-                        l2_dh += 1
-                        if line in l2_pend:
-                            l2_pend.discard(line)
-                            l2_ph += 1
-                        continue
-                    l2_dm += 1
-                    si3 = d3_list[j]
-                    s3 = l3_sets[si3]
-                    if s3 is None:
-                        s3 = []
-                        l3_sets[si3] = s3
-                        l3_hit = False
-                    elif s3 and s3[0] == line:
-                        l3_hit = True
-                    elif line in l3_res:
-                        s3.remove(line)
-                        s3.insert(0, line)
-                        l3_hit = True
-                    else:
-                        l3_hit = False
-                    if l3_hit:
-                        l3_dh += 1
-                        if line in l3_pend:
-                            l3_pend.discard(line)
-                            l3_ph += 1
-                    else:
-                        l3_dm += 1
-                        if len(s3) >= l3_ways:
-                            victim = s3.pop()
-                            l3_res.discard(victim)
-                            l3_ev += 1
-                            if victim in l3_pend:
-                                l3_pend.discard(victim)
-                                l3_pu += 1
-                        s3.insert(0, line)
-                        l3_res.add(line)
-                    if len(s2) >= l2_ways:
-                        victim = s2.pop()
-                        l2_res.discard(victim)
-                        l2_ev += 1
-                        if victim in l2_pend:
-                            l2_pend.discard(victim)
-                            l2_pu += 1
-                    s2.insert(0, line)
-                    l2_res.add(line)
-                data_ptr += count
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-
-    carry.now = now
-    carry.busy = busy
-    carry.frontend_stalls = frontend_stalls
-    carry.late_hits = late_hits
-    carry.late_stall = late_stall
-    carry.sim_misses = sim_misses
-    carry.issued = issued
-    carry.resident = resident
-    carry.c2, carry.c3, carry.cm = c2, c3, cm
-    carry.l1_dh, carry.l1_dm, carry.l1_ph = l1_dh, l1_dm, l1_ph
-    carry.l1_pf, carry.l1_pu, carry.l1_ev = l1_pf, l1_pu, l1_ev
-    carry.l2_dh, carry.l2_dm, carry.l2_ph = l2_dh, l2_dm, l2_ph
-    carry.l2_pf, carry.l2_pu, carry.l2_ev = l2_pf, l2_pu, l2_ev
-    carry.l3_dh, carry.l3_dm, carry.l3_ph = l3_dh, l3_dm, l3_ph
-    carry.l3_pf, carry.l3_pu, carry.l3_ev = l3_pf, l3_pu, l3_ev
+    # -- the sequential core: one compiled walk over the shard ---------
+    counters = np.array(
+        [getattr(carry, name) for name in native.WALK_COUNTERS],
+        dtype=np.int64,
+    )
+    floats = np.array(
+        [getattr(carry, name) for name in native.WALK_FLOATS],
+        dtype=np.float64,
+    )
+    line_s1, line_s2, line_s3 = ctx.line_sets
+    carry.inflight_lines, carry.inflight_arrivals = native.plan_walk(
+        (carry.l1, carry.l2, carry.l3),
+        (carry.inflight_lines, carry.inflight_arrivals),
+        counters,
+        floats,
+        boundary=-1 if reset_local is None else reset_local,
+        penalty=ctx.penalty,
+        occupancy=ctx.occupancy,
+        rows=rows,
+        plan_id=pre["plan_id"],
+        combo_start=combo_start,
+        combo_cost=[cost for _lines, cost in combos],
+        tgt_line=tgt_line,
+        tgt_s1=tgt_line % ctx.l1_ns,
+        tgt_s2=tgt_line % ctx.l2_ns,
+        tgt_s3=tgt_line % ctx.l3_ns,
+        line_start=view.line_starts,
+        line_data=view.line_data,
+        line_s1=line_s1,
+        line_s2=line_s2,
+        line_s3=line_s3,
+        incr_row=ctx.incr_row,
+        data_count=data_count,
+        data_line=data_line,
+        data_s2=data_s2,
+        data_s3=data_s3,
+    )
+    for name, value in zip(native.WALK_COUNTERS, counters.tolist()):
+        setattr(carry, name, value)
+    for name, value in zip(native.WALK_FLOATS, floats.tolist()):
+        setattr(carry, name, value)
 
     # Vectorized counters follow the same since-last-reset convention
     # as the loop counters: the shard containing the reset replaces the
@@ -1793,29 +1501,25 @@ def _plan_finish(
     stats.miss_level_counts = miss_level_counts
 
     if hierarchy is not None:
-        _install_cache(
-            hierarchy.l1i,
-            {i: s for i, s in enumerate(carry.l1_sets) if s is not None},
-            carry.l1_pend, carry.l1_dh, carry.l1_dm,
-            carry.l1_pf, carry.l1_ph, carry.l1_pu, carry.l1_ev,
-        )
-        _install_cache(
-            hierarchy.l2,
-            {i: s for i, s in enumerate(carry.l2_sets) if s is not None},
-            carry.l2_pend, carry.l2_dh, carry.l2_dm,
-            carry.l2_pf, carry.l2_ph, carry.l2_pu, carry.l2_ev,
-        )
-        _install_cache(
-            hierarchy.l3,
-            {i: s for i, s in enumerate(carry.l3_sets) if s is not None},
-            carry.l3_pend, carry.l3_dh, carry.l3_dm,
-            carry.l3_pf, carry.l3_ph, carry.l3_pu, carry.l3_ev,
-        )
+        for cache, level, prefix in (
+            (hierarchy.l1i, carry.l1, "l1"),
+            (hierarchy.l2, carry.l2, "l2"),
+            (hierarchy.l3, carry.l3, "l3"),
+        ):
+            cache.adopt(
+                level,
+                demand_hits=getattr(carry, prefix + "_dh"),
+                demand_misses=getattr(carry, prefix + "_dm"),
+                evictions=getattr(carry, prefix + "_ev"),
+                prefetch_fills=getattr(carry, prefix + "_pf"),
+                prefetch_hits=getattr(carry, prefix + "_ph"),
+                prefetch_unused_evictions=getattr(carry, prefix + "_pu"),
+            )
         hierarchy.fill_port.busy_until = carry.busy
         stats.prefetches_useful = hierarchy.l1i.stats.prefetch_hits
 
     engine.restore_runtime_state(
-        dict(carry.inflight),
+        carry.inflight(),
         list(carry.tracker_tail),
         list(carry.exact_tail),
         carry.tp,
@@ -1860,9 +1564,9 @@ def plan_replay(
 
     What remains inherently sequential — LRU state, the in-flight map,
     fill-port serialization and half-priority prefetch insertion — runs
-    in one flat loop over plain lists/dicts/scalars that replays the
-    reference's float operations in the identical order, so equality
-    is exact, never approximate.
+    in the compiled walk (``plan_walk``) over dense carried state, which
+    replays the reference's float operations in the identical order, so
+    equality is exact, never approximate.
     """
     if not engine.is_pristine():
         get_tracer().instant("sim:plan-fallback", reason="engine-state")
@@ -1879,879 +1583,3 @@ def plan_replay(
         return False
     _plan_finish(ctx, carry, stats, hierarchy, engine)
     return True
-
-
-# ---------------------------------------------------------------------------
-# Plan-batched columnar replay ("columnar-plan-batch")
-# ---------------------------------------------------------------------------
-#
-# Evaluates V compiled plan variants in ONE pass over the trace.  The
-# single-variant loop (:func:`plan_shard_replay`) interleaves four
-# concerns per retired block; the batch splits them into three phases
-# so the expensive one runs lane-vectorized across every variant at
-# once:
-#
-#   A. per-variant sequential decision replay (Python): prefetch-issue
-#      decisions, the full L1I demand sweep and the in-flight map.
-#      These are inherently serial — each issue decision reads the L1
-#      residency its own earlier prefetches produced — but touch no
-#      timing floats and no L2/L3 state.  Phase A emits the variant's
-#      L2-bound event stream (prefetch queries and demand misses) plus
-#      a timing-event stream for phase C.
-#   B. lane-vectorized L2/L3 sweeps (NumPy): every (variant, set) pair
-#      is one lane of a timestamp-LRU array; one round of the sweep
-#      advances all V variants' sets together, so the per-round Python
-#      overhead — the dominant cost at these set sizes — is amortized
-#      across the whole sweep instead of being paid per variant.
-#   C. per-variant sequential timing fold (Python): replays the
-#      reference loop's float operations in the identical order, using
-#      the per-event hit levels phase B produced.
-#
-# Exactness rests on two facts about the reference loop, checked
-# rather than assumed:
-#
-#   * cache/engine *state* evolution is timing-independent except at
-#     one point — a demand access that pops a still-in-flight line and
-#     misses the L1 takes a state-divergent "late" path.  Phase A
-#     speculates every such pop on-time and phase C verifies the
-#     speculation against the real arrival time; a late pop-miss
-#     invalidates only that variant, which falls back to the
-#     per-variant replay (reason ``late-prefetch-miss``).
-#   * in-flight insertion is unconditional whenever every fill level's
-#     latency is positive (arrival = start + penalty > now always);
-#     a machine configured otherwise is rejected at admission
-#     (reason ``nonpositive-latency``).
-#
-# The timestamp LRU encodes recency as float64 stamps: demand touches
-# use fresh integer stamps, prefetch depth-`pd` insertions use the
-# midpoint of the two rank-adjacent stamps (strictly between them, so
-# within-lane order is total).  A midpoint that degenerates to one of
-# its neighbours — possible only after ~50 consecutive same-depth
-# prefetch fills into one set with no demand touch — is detected per
-# lane and fails just that variant (reason ``ts-collision``), so
-# equality is never silently approximate.
-
-_TS_EMPTY = -1.0e18  # unoccupied-way sentinel, below any reachable stamp
-_TS_OCCUPIED = -1.0e17  # stamps above this mark an occupied way
-
-
-class _LaneCache:
-    """Variant-stacked set-associative LRU state for one cache level.
-
-    Lane ``v * num_sets + s`` holds variant *v*'s set *s*.  Recency is
-    a float64 timestamp per way (larger = more recent); ``fill`` counts
-    occupied ways and ``touched`` marks lanes that saw any event, which
-    for L2/L3 is exactly the reference's materialized-set criterion
-    (every reference materialization is followed by a fill).
-    """
-
-    __slots__ = (
-        "num_sets", "ways", "pd", "n_lanes",
-        "lines", "ts", "pend", "fill", "touched", "ts_base",
-    )
-
-    def __init__(self, n_variants: int, num_sets: int, ways: int, pd: int):
-        n_lanes = n_variants * num_sets
-        self.num_sets = num_sets
-        self.ways = ways
-        self.pd = pd
-        self.n_lanes = n_lanes
-        self.lines = np.full((n_lanes, ways), -1, dtype=np.int64)
-        self.ts = np.full((n_lanes, ways), _TS_EMPTY, dtype=np.float64)
-        self.pend = np.zeros((n_lanes, ways), dtype=bool)
-        self.fill = np.zeros(n_lanes, dtype=np.int64)
-        self.touched = np.zeros(n_lanes, dtype=bool)
-        self.ts_base = 0.0
-
-    def materialize(self, v: int, sets_list: list, res: set, pend: set):
-        """Write variant *v*'s touched lanes back as reference-layout
-        per-set MRU-first lists plus residency/pending sets."""
-        base = v * self.num_sets
-        lanes = np.flatnonzero(self.touched[base:base + self.num_sets])
-        if not len(lanes):
-            return
-        ts = self.ts[base + lanes]
-        order = np.argsort(-ts, axis=1)  # descending stamp = MRU first
-        lines = np.take_along_axis(self.lines[base + lanes], order, axis=1)
-        occ = np.take_along_axis(ts, order, axis=1) > _TS_OCCUPIED
-        pend_m = np.take_along_axis(self.pend[base + lanes], order, axis=1)
-        res.update(lines[occ].tolist())
-        pm = pend_m & occ
-        if pm.any():
-            pend.update(lines[pm].tolist())
-        counts = occ.sum(axis=1).tolist()
-        for s, k, row in zip(lanes.tolist(), counts, lines.tolist()):
-            sets_list[s] = row[:k]
-
-
-def _lane_sweep(cache: _LaneCache, lanes: np.ndarray, lines: np.ndarray,
-                kinds: np.ndarray):
-    """Advance *cache* by one event stream; return per-event outcomes.
-
-    ``kinds``: 0 = data demand, 1 = instruction demand, 2 = prefetch
-    query+fill.  Demand semantics: hit → MRU touch, clear pending;
-    miss → evict LRU when full, fill at MRU, not pending.  Prefetch
-    semantics: hit → no state change; miss → evict LRU when full, fill
-    at depth ``pd`` (or the LRU end when shallower), pending.
-
-    Returns ``(hit, pend_cleared, evicted, evicted_pend, bad)`` — the
-    first four indexed per event, ``bad`` per lane (timestamp-midpoint
-    degeneracies; those lanes' variants must fall back).
-    """
-    n = len(lanes)
-    hit_out = np.zeros(n, dtype=bool)
-    pclr_out = np.zeros(n, dtype=bool)
-    ev_out = np.zeros(n, dtype=bool)
-    evp_out = np.zeros(n, dtype=bool)
-    bad = np.zeros(cache.n_lanes, dtype=bool)
-    if not n:
-        return hit_out, pclr_out, ev_out, evp_out, bad
-
-    # Rank the lanes that saw any event by event count, descending.
-    # Events pack densely from round 0, so at round r the active lanes
-    # are exactly ranks [0, k_r) — every per-round operation below runs
-    # on that prefix and total work is proportional to the event count,
-    # not lanes x rounds (the L3 stream is sparse over many lanes).
-    counts = np.bincount(lanes, minlength=cache.n_lanes)
-    used = np.flatnonzero(counts)
-    cache.touched[used] = True
-    ucounts = counts[used]
-    uorder = np.argsort(-ucounts, kind="stable")
-    lane_ids = used[uorder]
-    rcounts = ucounts[uorder]
-    n_used = len(lane_ids)
-    maxlen = int(rcounts[0])
-    rank_of = np.zeros(cache.n_lanes, dtype=np.int64)
-    rank_of[lane_ids] = np.arange(n_used, dtype=np.int64)
-    k_r = np.searchsorted(-rcounts, -np.arange(maxlen, dtype=np.int64),
-                          side="left")
-
-    order = np.argsort(lanes, kind="stable")
-    sl = lanes[order]
-    starts = np.zeros(cache.n_lanes + 1, dtype=np.int64)
-    np.cumsum(counts, out=starts[1:])
-    within = np.arange(n, dtype=np.int64) - starts[sl]
-    rr = rank_of[sl]
-    # round-major layout: each round's slice is a contiguous prefix
-    # view; only [round, :k_r] cells are ever read, so empty is safe
-    cols = np.empty((maxlen, n_used), dtype=np.int64)
-    cols[within, rr] = lines[order]
-    kmat = np.empty((maxlen, n_used), dtype=np.int8)
-    kmat[within, rr] = kinds[order]
-    posm = np.empty((maxlen, n_used), dtype=np.int64)
-    posm[within, rr] = order
-
-    # rank-ordered working copies of the touched lanes' state
-    s_lines = cache.lines[lane_ids]
-    s_ts = cache.ts[lane_ids]
-    s_pend = cache.pend[lane_ids]
-    s_fill = cache.fill[lane_ids]
-    ways = cache.ways
-    pd = cache.pd
-    ts_base = cache.ts_base
-    badv = np.zeros(n_used, dtype=bool)
-    aridx = np.arange(n_used, dtype=np.int64)
-
-    for r in range(maxlen):
-        k = int(k_r[r])
-        col = cols[r, :k]
-        kk = kmat[r, :k]
-        eq = s_lines[:k] == col[:, None]
-        way_hit = eq.argmax(axis=1)
-        hitvec = eq[aridx[:k], way_hit]
-        ts_now = ts_base + float(r)
-        demand = kk < 2
-        p = posm[r, :k]
-        hit_out[p] = hitvec
-
-        # demand hits: MRU touch + pending clear
-        dhl = np.flatnonzero(demand & hitvec)
-        if len(dhl):
-            w = way_hit[dhl]
-            pclr_out[p[dhl]] = s_pend[dhl, w]
-            s_ts[dhl, w] = ts_now
-            s_pend[dhl, w] = False
-
-        ml = np.flatnonzero(~hitvec)
-        if len(ml):
-            # victim bookkeeping (before any overwrite)
-            fill_m = s_fill[ml]
-            full_m = fill_m >= ways
-            victim = s_ts[ml].argmin(axis=1)
-            evl = np.flatnonzero(full_m)
-            if len(evl):
-                ev_out[p[ml[evl]]] = True
-                evp_out[p[ml[evl]]] = s_pend[ml[evl], victim[evl]]
-            place = np.where(full_m, victim, np.minimum(fill_m, ways - 1))
-            dm = demand[ml]
-
-            # demand-miss fills: MRU insert
-            dml = ml[dm]
-            if len(dml):
-                w = place[dm]
-                s_lines[dml, w] = col[dml]
-                s_ts[dml, w] = ts_now
-                s_pend[dml, w] = False
-
-            # prefetch-miss fills: evict-first depth insert
-            pml = ml[~dm]
-            if len(pml):
-                sel = ~dm
-                asc = np.sort(s_ts[pml], axis=1)
-                # occupied ways *after* the eviction the reference does first
-                occ_eff = fill_m[sel] - full_m[sel]
-                ts_new = np.full(len(pml), ts_now)
-                if pd > 0:
-                    ti = np.flatnonzero((occ_eff > 0) & (occ_eff <= pd))
-                    if len(ti):
-                        # insert at the LRU end: below the post-evict minimum
-                        ts_new[ti] = asc[ti, ways - occ_eff[ti]] - 1.0
-                    di = np.flatnonzero(occ_eff > pd)
-                    if len(di):
-                        # between descending ranks pd-1 and pd (both survive
-                        # the eviction: rank indices never reach the minimum)
-                        upper = asc[di, ways - pd]
-                        lower = asc[di, ways - 1 - pd]
-                        mid = (upper + lower) * 0.5
-                        degen = (mid <= lower) | (mid >= upper)
-                        if degen.any():
-                            badv[pml[di[degen]]] = True
-                        ts_new[di] = mid
-                w = place[sel]
-                s_lines[pml, w] = col[pml]
-                s_ts[pml, w] = ts_new
-                s_pend[pml, w] = True
-
-            nf = ml[~full_m]
-            s_fill[nf] += 1
-
-    cache.lines[lane_ids] = s_lines
-    cache.ts[lane_ids] = s_ts
-    cache.pend[lane_ids] = s_pend
-    cache.fill[lane_ids] = s_fill
-    cache.ts_base = ts_base + maxlen
-    bad[lane_ids[badv]] = True
-    return hit_out, pclr_out, ev_out, evp_out, bad
-
-
-def _batched_phase_a(ctx: PlanContext, carry: PlanCarry, inflight: Dict[int, int],
-                     rows_list: list, site_plan: list, reset_local,
-                     issue_base: int):
-    """Per-variant decision replay: issues, the L1I sweep, no timing.
-
-    Mutates the carry's L1 structures and counters exactly as the
-    reference does (pop-misses speculated on-time), maintains
-    *inflight* as line → global issue index, and returns the variant's
-    event streams: ``(a_t, a_kind, a_line)`` for phase B (kind 1 =
-    instruction demand miss, 2 = prefetch query) and
-    ``(tev_t, tev_kind, tev_issue)`` for phase C (kind 0 = pop-hit,
-    1 = pop-miss, 2 = plain miss), plus the next global issue index.
-    """
-    l1_sets = carry.l1_sets
-    l1_res = carry.l1_res
-    l1_pend = carry.l1_pend
-    l1_ns = ctx.l1_ns
-    l1_ways = ctx.l1_ways
-    pd1 = ctx.pd1
-    pairs_list = ctx.pairs_list
-    inflight_pop = inflight.pop
-
-    sim_misses = carry.sim_misses
-    issued = carry.issued
-    resident = carry.resident
-    l1_dh, l1_dm, l1_ph = carry.l1_dh, carry.l1_dm, carry.l1_ph
-    l1_pf, l1_pu, l1_ev = carry.l1_pf, carry.l1_pu, carry.l1_ev
-    boundary = reset_local if reset_local is not None else -1
-
-    a_t: list = []
-    a_kind: list = []
-    a_line: list = []
-    tev_t: list = []
-    tev_kind: list = []
-    tev_issue: list = []
-    ap_t = a_t.append
-    ap_kind = a_kind.append
-    ap_line = a_line.append
-    tp_t = tev_t.append
-    tp_kind = tev_kind.append
-    tp_issue = tev_issue.append
-    n_issues = issue_base
-
-    for t, (row, plan_entry) in enumerate(zip(rows_list, site_plan)):
-        if t == boundary:
-            sim_misses = issued = resident = 0
-            l1_dh = l1_dm = l1_ph = l1_pf = l1_pu = l1_ev = 0
-
-        if plan_entry is not None:
-            for targets in plan_entry[0]:
-                if targets is None:
-                    continue
-                for line in targets:
-                    if line in inflight:
-                        resident += 1
-                        continue
-                    si1 = line % l1_ns
-                    s1 = l1_sets[si1]
-                    if s1 is None:
-                        s1 = []
-                        l1_sets[si1] = s1
-                    if line in l1_res:
-                        resident += 1
-                        continue
-                    # L2/L3 query + conditional fills: a phase-B event
-                    ap_t(t)
-                    ap_kind(2)
-                    ap_line(line)
-                    if len(s1) >= l1_ways:
-                        victim = s1.pop()
-                        l1_res.discard(victim)
-                        l1_ev += 1
-                        if victim in l1_pend:
-                            l1_pend.discard(victim)
-                            l1_pu += 1
-                    s1.insert(pd1 if pd1 < len(s1) else len(s1), line)
-                    l1_res.add(line)
-                    l1_pf += 1
-                    l1_pend.add(line)
-                    issued += 1
-                    inflight[line] = n_issues
-                    n_issues += 1
-
-        for line, si1 in pairs_list[row]:
-            idx = inflight_pop(line, None)
-            s1 = l1_sets[si1]
-            if s1 is None:
-                s1 = []
-                l1_sets[si1] = s1
-            elif s1 and s1[0] == line:
-                l1_dh += 1
-                if line in l1_pend:
-                    l1_pend.discard(line)
-                    l1_ph += 1
-                if idx is not None:
-                    tp_t(t)
-                    tp_kind(0)
-                    tp_issue(idx)
-                continue
-            elif line in l1_res:
-                s1.remove(line)
-                s1.insert(0, line)
-                l1_dh += 1
-                if line in l1_pend:
-                    l1_pend.discard(line)
-                    l1_ph += 1
-                if idx is not None:
-                    tp_t(t)
-                    tp_kind(0)
-                    tp_issue(idx)
-                continue
-            # L1 miss — on-time speculated when it popped an in-flight
-            # line; phase C verifies the arrival actually beat the pop.
-            l1_dm += 1
-            ap_t(t)
-            ap_kind(1)
-            ap_line(line)
-            tp_t(t)
-            if idx is not None:
-                tp_kind(1)
-                tp_issue(idx)
-            else:
-                tp_kind(2)
-                tp_issue(-1)
-            if len(s1) >= l1_ways:
-                victim = s1.pop()
-                l1_res.discard(victim)
-                l1_ev += 1
-                if victim in l1_pend:
-                    l1_pend.discard(victim)
-                    l1_pu += 1
-            s1.insert(0, line)
-            l1_res.add(line)
-            sim_misses += 1
-
-    carry.sim_misses = sim_misses
-    carry.issued = issued
-    carry.resident = resident
-    carry.l1_dh, carry.l1_dm, carry.l1_ph = l1_dh, l1_dm, l1_ph
-    carry.l1_pf, carry.l1_pu, carry.l1_ev = l1_pf, l1_pu, l1_ev
-    return (a_t, a_kind, a_line), (tev_t, tev_kind, tev_issue), n_issues
-
-
-def _batched_timing_fold(ctx: PlanContext, carry: PlanCarry, arrivals: list,
-                         rows_list: list, site_plan: list, reset_local,
-                         iss_t: list, iss_level: list,
-                         tev_t: list, tev_kind: list, tev_issue: list,
-                         instr_level: list) -> bool:
-    """Replay the reference loop's float operations in identical order.
-
-    Appends one arrival per issue to *arrivals* (indexed by the global
-    issue indices phase A handed out) and verifies phase A's on-time
-    speculation for every pop-miss.  Returns ``False`` — the variant
-    must fall back — when a popped line's arrival had not yet landed.
-    """
-    now = carry.now
-    busy = carry.busy
-    frontend_stalls = carry.frontend_stalls
-    late_hits = carry.late_hits
-    late_stall = carry.late_stall
-    penalty = ctx.penalty
-    occupancy = ctx.occupancy
-    incr_row = ctx.incr_row
-    boundary = reset_local if reset_local is not None else -1
-    arrivals_append = arrivals.append
-
-    ii = 0
-    ni = len(iss_t)
-    ti = 0
-    nt = len(tev_t)
-    il = 0
-
-    for t, row in enumerate(rows_list):
-        if t == boundary:
-            frontend_stalls = 0.0
-            late_hits = 0
-            late_stall = 0.0
-        plan_entry = site_plan[t]
-        if plan_entry is not None:
-            while ii < ni and iss_t[ii] == t:
-                level = iss_level[ii]
-                start = now if now > busy else busy
-                busy = start + occupancy[level]
-                arrivals_append(start + penalty[level])
-                ii += 1
-            now += plan_entry[1]
-        stall = 0.0
-        while ti < nt and tev_t[ti] == t:
-            kind = tev_kind[ti]
-            if kind == 0:  # pop-hit: late check only
-                arrival = arrivals[tev_issue[ti]]
-                if arrival > now + stall:
-                    remainder = arrival - (now + stall)
-                    stall += remainder
-                    late_hits += 1
-                    late_stall += remainder
-            else:
-                if kind == 1:  # pop-miss: verify the on-time speculation
-                    arrival = arrivals[tev_issue[ti]]
-                    if arrival > now + stall:
-                        return False
-                level = instr_level[il]
-                il += 1
-                start = now + stall
-                if start < busy:
-                    start = busy
-                busy = start + occupancy[level]
-                stall = (start + penalty[level]) - now
-            ti += 1
-        if stall:
-            frontend_stalls += stall
-            now += stall
-        now += incr_row[row]
-
-    carry.now = now
-    carry.busy = busy
-    carry.frontend_stalls = frontend_stalls
-    carry.late_hits = late_hits
-    carry.late_stall = late_stall
-    return True
-
-
-class _BatchSlot:
-    """One variant's mutable state inside a :class:`PlanBatch`."""
-
-    __slots__ = (
-        "index", "stats", "engine", "hierarchy", "data_traffic",
-        "ctx", "carry", "inflight", "arrivals", "n_issues",
-        "alive", "reason",
-    )
-
-    def __init__(self, index, stats, engine, hierarchy, data_traffic):
-        self.index = index
-        self.stats = stats
-        self.engine = engine
-        self.hierarchy = hierarchy
-        self.data_traffic = data_traffic
-        self.ctx = None
-        self.carry = None
-        self.inflight: Dict[int, int] = {}
-        self.arrivals: list = []
-        self.n_issues = 0
-        self.alive = True
-        self.reason: Optional[str] = None
-
-    def fail(self, reason: str) -> None:
-        self.alive = False
-        self.reason = reason
-        get_tracer().instant(
-            "sim:batch-fallback", slot=self.index, reason=reason
-        )
-
-
-class PlanBatch:
-    """Shared-pass evaluation state for V plan variants.
-
-    Construct with per-variant ``(stats, engine, hierarchy,
-    data_traffic)`` tuples, feed trace shards through
-    :meth:`run_shard`, then :meth:`finish`.  Ineligible variants drop
-    out with a traced reason at the earliest point it is known —
-    before any of their externally visible state mutates — and
-    :meth:`results` reports ``None`` (batched) or the fallback reason
-    per slot.  A failed slot's stats/engine/hierarchy are untouched,
-    but its data-traffic model may have advanced: rerun it with fresh
-    objects through the per-variant path.
-    """
-
-    def __init__(self, program: Program, machine: MachineParams, slots):
-        self.program = program
-        self.machine = machine
-        self.view = columnar_view(program)
-        self.slots = [
-            _BatchSlot(i, *slot) for i, slot in enumerate(slots)
-        ]
-        pds = None
-        for slot in self.slots:
-            if slot.engine is None:
-                slot.fail("no-plan")
-                continue
-            if not slot.engine.is_pristine():
-                slot.fail("engine-state")
-                continue
-            ctx = PlanContext(program, machine, slot.engine, slot.hierarchy)
-            if min(ctx.penalty[1:]) <= 0.0:
-                slot.fail("nonpositive-latency")
-                continue
-            if pds is None:
-                pds = (ctx.pd1, ctx.pd2, ctx.pd3)
-            elif (ctx.pd1, ctx.pd2, ctx.pd3) != pds:
-                # one _LaneCache insertion depth serves every lane
-                slot.fail("nonuniform-geometry")
-                continue
-            slot.ctx = ctx
-            slot.carry = PlanCarry(ctx)
-        n = len(self.slots)
-        if pds is None:
-            pds = (machine.l1i.ways // 2, machine.l2.ways // 2,
-                   machine.l3.ways // 2)
-        self.l2 = _LaneCache(n, machine.l2.num_sets, machine.l2.ways, pds[1])
-        self.l3 = _LaneCache(n, machine.l3.num_sets, machine.l3.ways, pds[2])
-        #: cumulative wall seconds per internal phase, for honest
-        #: benchmark decompositions (observation only — never consulted
-        #: by the replay itself)
-        self.phase_seconds: Dict[str, float] = {}
-
-    def _mark(self, phase: str, t0: float) -> float:
-        now = time.perf_counter()
-        self.phase_seconds[phase] = (
-            self.phase_seconds.get(phase, 0.0) + now - t0
-        )
-        return now
-
-    def live(self):
-        return [s for s in self.slots if s.alive]
-
-    def run_shard(self, rows, offset: int = 0, eff: int = 0) -> None:
-        """Advance every live variant across one trace shard."""
-        live = self.live()
-        if not live:
-            return
-        view = self.view
-        n_local = len(rows)
-        reset_local = (
-            eff - offset if offset <= eff < offset + n_local else None
-        )
-        rows_list = rows.tolist()
-        counts_list = view.instruction_counts[rows].tolist()
-
-        # Per-variant decision tables; a counter-overflow bails the slot
-        # out here, before anything (carry, data model) has mutated.
-        t0 = time.perf_counter()
-        pres = {}
-        shared_pre: dict = {}
-        for slot in live:
-            pre = _plan_shard_precompute(
-                slot.ctx, slot.carry, rows, offset, eff, shared=shared_pre
-            )
-            if pre is None:
-                slot.fail("bloom-overflow")
-            else:
-                pres[slot.index] = pre
-        t0 = self._mark("precompute", t0)
-        live = [s for s in live if s.alive]
-        if not live:
-            return
-
-        # Shared trace decode: each variant advances its own model, but
-        # identical model states hit the decode cache and come back as
-        # the same list objects, so the derived arrays are built once.
-        d_arrays: Dict[int, tuple] = {}
-        d_by_slot = {}
-        for slot in live:
-            dl, dc = _decode_data_stream(slot.data_traffic, counts_list)
-            entry = d_arrays.get(id(dl))
-            if entry is None:
-                d_lines = np.asarray(dl, dtype=np.int64)
-                d_t = np.repeat(
-                    np.arange(n_local, dtype=np.int64),
-                    np.asarray(dc, dtype=np.int64),
-                ) if dl else np.empty(0, dtype=np.int64)
-                entry = (dl, d_lines, d_t)
-                d_arrays[id(dl)] = entry
-            d_by_slot[slot.index] = entry
-        self._mark("decode", t0)
-
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            self._run_shard_core(
-                live, pres, d_by_slot, rows_list, reset_local, rows
-            )
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-
-    def _run_shard_core(self, live, pres, d_by_slot, rows_list, reset_local,
-                        rows):
-        view = self.view
-        l2_ns = self.l2.num_sets
-        l3_ns = self.l3.num_sets
-
-        # -- phase A + per-variant stream merge -------------------------
-        t0 = time.perf_counter()
-        seg_lines = []
-        seg_kinds = []
-        seg_t = []
-        voff = [0]
-        timing = {}
-        for slot in live:
-            pre = pres[slot.index]
-            (a_t, a_kind, a_line), tev, slot.n_issues = _batched_phase_a(
-                slot.ctx, slot.carry, slot.inflight, rows_list,
-                pre["site_plan"], reset_local, slot.n_issues,
-            )
-            timing[slot.index] = tev
-            _dl, d_lines, d_t = d_by_slot[slot.index]
-            na = len(a_t)
-            nd = len(d_t)
-            t_m = np.empty(na + nd, dtype=np.int64)
-            k_m = np.zeros(na + nd, dtype=np.int8)
-            l_m = np.empty(na + nd, dtype=np.int64)
-            if na:
-                at = np.asarray(a_t, dtype=np.int64)
-                # stable two-way merge by block: a variant's own events
-                # precede the block's data accesses, as in the reference
-                a_pos = np.arange(na, dtype=np.int64) + np.searchsorted(
-                    d_t, at, side="left"
-                )
-                t_m[a_pos] = at
-                k_m[a_pos] = np.asarray(a_kind, dtype=np.int8)
-                l_m[a_pos] = np.asarray(a_line, dtype=np.int64)
-                d_pos = np.arange(nd, dtype=np.int64) + np.searchsorted(
-                    at, d_t, side="right"
-                )
-            else:
-                d_pos = np.arange(nd, dtype=np.int64)
-            t_m[d_pos] = d_t
-            l_m[d_pos] = d_lines
-            seg_lines.append(l_m)
-            seg_kinds.append(k_m)
-            seg_t.append(t_m)
-            voff.append(voff[-1] + na + nd)
-
-        lines2 = np.concatenate(seg_lines) if seg_lines else np.empty(0, np.int64)
-        kinds2 = np.concatenate(seg_kinds) if seg_kinds else np.empty(0, np.int8)
-        t2 = np.concatenate(seg_t) if seg_t else np.empty(0, np.int64)
-        v_of = np.repeat(
-            np.asarray([s.index for s in live], dtype=np.int64),
-            np.diff(np.asarray(voff, dtype=np.int64)),
-        )
-        lanes2 = v_of * l2_ns + lines2 % l2_ns
-        t0 = self._mark("phase-a", t0)
-
-        # -- phase B: L2 sweep, then L3 over the L2 misses --------------
-        hit2, pclr2, ev2, evp2, bad2 = _lane_sweep(
-            self.l2, lanes2, lines2, kinds2
-        )
-        t0 = self._mark("sweep-l2", t0)
-        miss_idx = np.flatnonzero(~hit2)
-        lines3 = lines2[miss_idx]
-        kinds3 = kinds2[miss_idx]
-        t3 = t2[miss_idx]
-        lanes3 = v_of[miss_idx] * l3_ns + lines3 % l3_ns
-        hit3, pclr3, ev3, evp3, bad3 = _lane_sweep(
-            self.l3, lanes3, lines3, kinds3
-        )
-        t0 = self._mark("sweep-l3", t0)
-
-        # per-event fill level: 1 = L2 hit, 2 = L3 hit, 3 = memory
-        level2 = np.where(hit2, 1, 3).astype(np.int64)
-        level2[miss_idx[hit3]] = 2
-
-        bad_v = set(
-            (np.flatnonzero(bad2) // l2_ns).tolist()
-            + (np.flatnonzero(bad3) // l3_ns).tolist()
-        )
-        # variant slices stay contiguous through the miss filter
-        voff3 = np.searchsorted(miss_idx, np.asarray(voff, dtype=np.int64))
-
-        for pos, slot in enumerate(live):
-            if slot.index in bad_v:
-                slot.fail("ts-collision")
-                continue
-            pre = pres[slot.index]
-            carry = slot.carry
-            s2 = slice(voff[pos], voff[pos + 1])
-            s3 = slice(int(voff3[pos]), int(voff3[pos + 1]))
-            self._fold_level_counters(
-                carry, reset_local, t2[s2], kinds2[s2],
-                hit2[s2], pclr2[s2], ev2[s2], evp2[s2], "l2",
-            )
-            self._fold_level_counters(
-                carry, reset_local, t3[s3], kinds3[s3],
-                hit3[s3], pclr3[s3], ev3[s3], evp3[s3], "l3",
-            )
-
-            # -- phase C: the float fold + speculation check ------------
-            k_v = kinds2[s2]
-            pf_sel = k_v == 2
-            in_sel = k_v == 1
-            iss_t = t2[s2][pf_sel].tolist()
-            iss_level = level2[s2][pf_sel].tolist()
-            instr_level = level2[s2][in_sel].tolist()
-            tev_t, tev_kind, tev_issue = timing[slot.index]
-            if not _batched_timing_fold(
-                slot.ctx, carry, slot.arrivals, rows_list,
-                pre["site_plan"], reset_local,
-                iss_t, iss_level, tev_t, tev_kind, tev_issue, instr_level,
-            ):
-                slot.fail("late-prefetch-miss")
-                continue
-
-            # -- vectorized-precompute counters and the carried tails ---
-            if reset_local is None:
-                carry.suppressed += pre["suppressed"]
-                carry.executed += pre["executed"]
-                carry.l1i_accesses += pre["l1i_accesses"]
-                carry.program_instructions += pre["program_instructions"]
-            else:
-                carry.suppressed = pre["suppressed"]
-                carry.executed = pre["executed"]
-                carry.l1i_accesses = pre["l1i_accesses"]
-                carry.program_instructions = pre["program_instructions"]
-            carry.tp += pre["tp"]
-            carry.fp += pre["fp"]
-            ctx = slot.ctx
-            if ctx.tracker is not None:
-                carry.tracker_tail = (
-                    carry.tracker_tail + pre["new_hashed"]
-                )[-ctx.depth:]
-            if ctx.exact_hist is not None and ctx.exact_depth:
-                ids_tail = [
-                    int(b)
-                    for b in view.block_ids[rows[-ctx.exact_depth:]].tolist()
-                ]
-                carry.exact_tail = (
-                    carry.exact_tail + ids_tail
-                )[-ctx.exact_depth:]
-        self._mark("fold", t0)
-
-    @staticmethod
-    def _fold_level_counters(carry, reset_local, t_v, k_v, hit_v, pclr_v,
-                             ev_v, evp_v, prefix):
-        """Apply one level's event outcomes to the carry counters with
-        the loop's since-last-reset convention."""
-        if reset_local is not None:
-            post = t_v >= reset_local
-            dh = int((hit_v & (k_v < 2) & post).sum())
-            ph = int((pclr_v & post).sum())
-            dm = int((~hit_v & (k_v < 2) & post).sum())
-            pf = int((~hit_v & (k_v == 2) & post).sum())
-            ev = int((ev_v & post).sum())
-            pu = int((evp_v & post).sum())
-            ch = int((hit_v & (k_v == 1) & post).sum())
-            cmiss = int((~hit_v & (k_v == 1) & post).sum())
-        else:
-            k_dem = k_v < 2
-            dh = int((hit_v & k_dem).sum())
-            ph = int(pclr_v.sum())
-            dm = int((~hit_v & k_dem).sum())
-            pf = int((~hit_v & (k_v == 2)).sum())
-            ev = int(ev_v.sum())
-            pu = int(evp_v.sum())
-            ch = int((hit_v & (k_v == 1)).sum())
-            cmiss = int((~hit_v & (k_v == 1)).sum())
-        if prefix == "l2":
-            if reset_local is not None:
-                carry.l2_dh, carry.l2_ph, carry.l2_dm = dh, ph, dm
-                carry.l2_pf, carry.l2_ev, carry.l2_pu = pf, ev, pu
-                carry.c2 = ch
-            else:
-                carry.l2_dh += dh
-                carry.l2_ph += ph
-                carry.l2_dm += dm
-                carry.l2_pf += pf
-                carry.l2_ev += ev
-                carry.l2_pu += pu
-                carry.c2 += ch
-        else:
-            if reset_local is not None:
-                carry.l3_dh, carry.l3_ph, carry.l3_dm = dh, ph, dm
-                carry.l3_pf, carry.l3_ev, carry.l3_pu = pf, ev, pu
-                carry.c3, carry.cm = ch, cmiss
-            else:
-                carry.l3_dh += dh
-                carry.l3_ph += ph
-                carry.l3_dm += dm
-                carry.l3_pf += pf
-                carry.l3_ev += ev
-                carry.l3_pu += pu
-                carry.c3 += ch
-                carry.cm += cmiss
-
-    def finish(self) -> None:
-        """Materialize lane state and populate every live variant's
-        stats/hierarchy/engine exactly as :func:`_plan_finish` would."""
-        t0 = time.perf_counter()
-        for pos, slot in enumerate(self.slots):
-            if not slot.alive:
-                continue
-            carry = slot.carry
-            self.l2.materialize(
-                slot.index, carry.l2_sets, carry.l2_res, carry.l2_pend
-            )
-            self.l3.materialize(
-                slot.index, carry.l3_sets, carry.l3_res, carry.l3_pend
-            )
-            arrivals = slot.arrivals
-            carry.inflight = {
-                line: arrivals[i] for line, i in slot.inflight.items()
-            }
-            _plan_finish(
-                slot.ctx, carry, slot.stats, slot.hierarchy, slot.engine
-            )
-        self._mark("finish", t0)
-
-    def results(self) -> List[Optional[str]]:
-        return [slot.reason for slot in self.slots]
-
-
-def batched_plan_replay(program, trace, machine, slots, warmup: int = 0):
-    """Evaluate V plan variants in a single pass over *trace*.
-
-    *slots* is a sequence of per-variant ``(stats, engine, hierarchy,
-    data_traffic)`` tuples, mirroring :func:`plan_replay`'s per-run
-    arguments.  Returns a list of per-slot outcomes: ``None`` when the
-    slot was batched (its stats/hierarchy/engine are now bit-identical
-    to an independent :func:`plan_replay` run), else the fallback
-    reason string.  Failed slots' stats/engine/hierarchy are left
-    untouched, but their data-traffic models may have advanced — rerun
-    them through the per-variant path with freshly built objects.
-    """
-    batch = PlanBatch(program, machine, slots)
-    view = columnar_view(program)
-    rows = view.trace_rows(trace)
-    n = len(rows)
-    eff = warmup if 0 < warmup < n else 0
-    batch.run_shard(rows, 0, eff)
-    batch.finish()
-    return batch.results()

@@ -91,6 +91,9 @@ class Cache:
         can be reconstructed from a from-scratch replay, a non-pristine
         one composes with prior state and must take the reference loop.
         """
+        dense = self.__dict__.get("_adopted")
+        if dense is not None:
+            return not dense.touched.any()
         return not self._sets
 
     def prefetch_insertion_depth(self) -> int:
@@ -152,34 +155,49 @@ class Cache:
             self._pending_prefetched.discard(line)
         return removed
 
-    def install_residency(
+    def adopt(
         self,
-        state: Dict[int, Dict[int, None]],
+        dense,
         demand_hits: int,
         demand_misses: int,
         evictions: int,
+        prefetch_fills: int = 0,
+        prefetch_hits: int = 0,
+        prefetch_unused_evictions: int = 0,
     ) -> None:
-        """Replace contents and demand counters wholesale.
+        """Replace contents and counters with a columnar replay's result.
 
-        *state* maps set index to an ordered ``{line: None}`` recency
-        dict, oldest first — the representation the columnar LRU sweep
-        and the parallel executor's composition law both produce.  Used
-        to install a carried replay state; any pending-prefetch
-        bookkeeping is cleared (the no-plan paths never prefetch).
+        *dense* is the replay's final per-level state (a
+        :class:`~repro.sim.array_replay.DenseLevel`).  It is adopted as
+        is: the :class:`LRUStack` sets and the pending-prefetch set are
+        rebuilt from it only when something reads them (see
+        :meth:`__getattr__`), so a run whose caches nobody inspects never
+        builds them.
         """
-        self._sets.clear()
-        self._pending_prefetched.clear()
-        for set_index, recency in state.items():
-            stack = LRUStack(self.ways)
-            # Insertion order is oldest-to-newest; MRU sits at index 0.
-            stack._stack = list(reversed(recency.keys()))
-            self._sets[set_index] = stack
-        self.stats.reset()
-        self.stats.demand_hits = demand_hits
-        self.stats.demand_misses = demand_misses
-        self.stats.evictions = evictions
+        self.__dict__.pop("_sets", None)
+        self.__dict__.pop("_pending_prefetched", None)
+        self._adopted = dense
+        stats = self.stats
+        stats.reset()
+        stats.demand_hits = demand_hits
+        stats.demand_misses = demand_misses
+        stats.evictions = evictions
+        stats.prefetch_fills = prefetch_fills
+        stats.prefetch_hits = prefetch_hits
+        stats.prefetch_unused_evictions = prefetch_unused_evictions
+
+    def __getattr__(self, name: str):
+        # Only reached when normal lookup fails: after adopt(), the
+        # first read of either Python-shaped structure builds both.
+        if name in ("_sets", "_pending_prefetched"):
+            dense = self.__dict__.pop("_adopted", None)
+            if dense is not None:
+                self._sets, self._pending_prefetched = dense.cache_state()
+                return self.__dict__[name]
+        raise AttributeError(name)
 
     def flush(self) -> None:
         """Empty the cache, keeping statistics."""
-        self._sets.clear()
-        self._pending_prefetched.clear()
+        self.__dict__.pop("_adopted", None)
+        self._sets = {}
+        self._pending_prefetched = set()

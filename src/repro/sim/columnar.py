@@ -48,10 +48,21 @@ class ColumnarProgram:
         # the whole CSR table from addresses in one shot.
         from .params import CACHE_LINE_SHIFT
 
-        addresses = np.array([b.address for b in blocks], dtype=np.int64)
+        try:
+            addresses = np.array([b.address for b in blocks], dtype=np.int64)
+        except OverflowError:
+            raise ValueError(
+                "block address beyond the 63-bit range the columnar "
+                "replay indexes"
+            ) from None
         first = addresses >> CACHE_LINE_SHIFT
         last = (addresses + self.size_bytes - 1) >> CACHE_LINE_SHIFT
         counts = last - first + 1
+        if self.num_blocks and int(counts.min()) < 1:
+            raise ValueError(
+                "block spans past the 63-bit range the columnar replay "
+                "indexes"
+            )
         self.line_counts = counts
         self.line_starts = np.zeros(self.num_blocks + 1, dtype=np.int64)
         np.cumsum(counts, out=self.line_starts[1:])
@@ -62,8 +73,8 @@ class ColumnarProgram:
             - np.repeat(self.line_starts[:-1], counts)
         )
 
-        #: per-geometry caches built lazily by :meth:`line_set_pairs`
-        self._pair_cache: dict = {}
+        #: per-geometry set-index arrays built lazily by :meth:`line_sets`
+        self._set_cache: dict = {}
 
         # Block-id -> row lookup.  Synthesized programs use dense ids,
         # which makes the lookup a plain indexed load; sparse id spaces
@@ -92,10 +103,21 @@ class ColumnarProgram:
     def rows_for(self, block_ids) -> np.ndarray:
         """Map an array/sequence of block ids to row indices."""
         ids = np.asarray(block_ids, dtype=np.int64)
+        if not ids.size:
+            return np.zeros(ids.shape, dtype=np.int64)
         if self._dense_lookup is not None:
-            rows = self._dense_lookup[ids - self._dense_base]
+            index = ids - self._dense_base
+            lookup = self._dense_lookup
+            if int(index.min()) < 0 or int(index.max()) >= len(lookup):
+                raise ValueError("trace names a block the program lacks")
+            rows = lookup[index]
+            if int(rows.min()) < 0:
+                raise ValueError("trace names a block the program lacks")
         else:
             positions = np.searchsorted(self._sorted_ids, ids)
+            np.minimum(positions, self.num_blocks - 1, out=positions)
+            if not np.array_equal(self._sorted_ids[positions], ids):
+                raise ValueError("trace names a block the program lacks")
             rows = self._sorted_rows[positions]
         return rows
 
@@ -135,25 +157,14 @@ class ColumnarProgram:
             start = cut + 1
         return bounds
 
-    def line_set_pairs(self, num_sets: int) -> list:
-        """Per-row tuples of ``(line, set_index)`` pairs for one geometry.
-
-        The plan-aware replay loop walks a block's lines with the L1I
-        set index already resolved; caching per ``num_sets`` means each
-        (program, geometry) pair pays the flattening once.
-        """
-        pairs = self._pair_cache.get(num_sets)
-        if pairs is None:
-            lines = self.line_data.tolist()
-            sets = (self.line_data % num_sets).tolist()
-            starts = self.line_starts.tolist()
-            pairs = [
-                tuple(zip(lines[starts[row] : starts[row + 1]],
-                          sets[starts[row] : starts[row + 1]]))
-                for row in range(self.num_blocks)
-            ]
-            self._pair_cache[num_sets] = pairs
-        return pairs
+    def line_sets(self, num_sets: int) -> np.ndarray:
+        """Set index of every ``line_data`` entry for one geometry
+        (NumPy floor modulo), cached per ``num_sets`` on the view."""
+        sets = self._set_cache.get(num_sets)
+        if sets is None:
+            sets = self.line_data % num_sets
+            self._set_cache[num_sets] = sets
+        return sets
 
 
 def columnar_view(program: "Program") -> ColumnarProgram:

@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING, Dict, Optional
 
 from .. import kernel
 from ..obs.trace import get_tracer
+from . import native
 from .frontend import FetchEngine
 from .hierarchy import MemoryHierarchy
 from .params import MachineParams
@@ -117,8 +118,10 @@ class CoreSimulator:
         #: which replay implementation the last run() used
         self.last_replay_backend = "reference"
         #: why the last run() fell back to the reference loop, when it
-        #: did: "observer", "kernel-disabled", "state-not-pristine" or
-        #: "plan-ineligible"; None when a columnar path served the run
+        #: did: "observer", "kernel-disabled", a compiled-kernel reason
+        #: ("no-compiler", "kernel-build-failed", "kernel-load-failed"),
+        #: "state-not-pristine" or "plan-ineligible"; None when a
+        #: columnar path served the run
         self.last_fallback_reason: Optional[str] = None
         self.engine: Optional[PrefetchEngine] = None
         self._instr_counts: Dict[int, int] = {
@@ -236,15 +239,19 @@ class CoreSimulator:
         # bit-identical by construction (see repro/sim/array_replay.py)
         # and differentially tested.  Plan-free runs take `columnar`
         # (or the ideal counter path); plan-bearing runs take
-        # `columnar-plan`.  A non-pristine hierarchy/engine (re-used
-        # simulator, pre-seeded state) falls back to the reference
-        # loop, which composes with existing state.  The first failing
-        # check, in the same short-circuit order the selection always
-        # used, is recorded as the fallback reason.
+        # `columnar-plan`.  Both run their sequential loops in the
+        # compiled kernel; without one (no C compiler, failed build)
+        # they fall back to the reference loop, as does a non-pristine
+        # hierarchy/engine (re-used simulator, pre-seeded state), which
+        # composes with existing state.  The first failing check, in
+        # the same short-circuit order the selection always used, is
+        # recorded as the fallback reason.
         if observer is not None:
             fallback: Optional[str] = "observer"
         elif not kernel.numpy_enabled():
             fallback = "kernel-disabled"
+        elif not self.ideal and (missing := native.unavailable_reason()):
+            fallback = missing
         elif not self._hierarchy_pristine():
             fallback = "state-not-pristine"
         else:

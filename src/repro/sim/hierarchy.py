@@ -178,24 +178,15 @@ class MemoryHierarchy:
     def install_carry_summary(self, carry) -> None:
         """Adopt a completed array-replay carry wholesale.
 
-        *carry* is an :class:`~repro.sim.array_replay.ArrayCarry` (or
-        anything with its per-level ``lX_state``/counter slots and a
-        ``busy`` horizon): each level's LRU residency and post-warmup
-        demand counters are installed via
-        :meth:`~repro.sim.cache.Cache.install_residency` and the fill
-        port resumes at the carried busy horizon — leaving the
-        hierarchy in the exact final state the reference per-event
-        loop would have produced.
+        *carry* is an :class:`~repro.sim.array_replay.ArrayCarry`: each
+        level adopts its dense LRU state and post-warmup demand counters
+        (:meth:`~repro.sim.cache.Cache.adopt`) and the fill port resumes
+        at the carried busy horizon — leaving the hierarchy in the exact
+        final state the reference per-event loop would have produced.
         """
-        self.l1i.install_residency(
-            carry.l1_state, carry.l1_dh, carry.l1_dm, carry.l1_ev
-        )
-        self.l2.install_residency(
-            carry.l2_state, carry.l2_dh, carry.l2_dm, carry.l2_ev
-        )
-        self.l3.install_residency(
-            carry.l3_state, carry.l3_dh, carry.l3_dm, carry.l3_ev
-        )
+        self.l1i.adopt(carry.l1, carry.l1_dh, carry.l1_dm, carry.l1_ev)
+        self.l2.adopt(carry.l2, carry.l2_dh, carry.l2_dm, carry.l2_ev)
+        self.l3.adopt(carry.l3, carry.l3_dh, carry.l3_dm, carry.l3_ev)
         self.fill_port.busy_until = carry.busy
 
     # -- maintenance -----------------------------------------------------

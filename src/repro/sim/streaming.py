@@ -37,6 +37,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .. import kernel
 from ..obs.trace import get_tracer
+from . import native
 from .stats import (
     SHARD_FLOAT_FIELDS,
     SHARD_INT_FIELDS,
@@ -96,7 +97,7 @@ def _plan_snapshot(ctx, carry) -> SimStats:
         + carry.executed * ctx.prefetch_cpi
     )
     # Prefetch usefulness is the L1I's prefetch-hit count, carried in
-    # the loop counters (see _install_cache / _plan_finish).
+    # the walk counters (see _plan_finish).
     snap.prefetches_useful = carry.l1_ph
     levels: Dict[str, int] = {}
     if carry.c2:
@@ -128,22 +129,6 @@ def _apply_merged(stats: SimStats, merged: ShardStats) -> None:
 # -- carry (de)serialization -------------------------------------------------
 
 
-def _lru_states_payload(states: Dict[int, Dict[int, None]]) -> list:
-    """``{set: ordered {line: None}}`` -> ``[[set, [lines...]], ...]``
-    (recency order preserved, oldest first)."""
-    return [
-        [int(set_index), [int(line) for line in recency]]
-        for set_index, recency in states.items()
-    ]
-
-
-def _lru_states_restore(payload: list) -> Dict[int, Dict[int, None]]:
-    return {
-        int(set_index): {int(line): None for line in lines}
-        for set_index, lines in payload
-    }
-
-
 _ARRAY_CARRY_INTS = (
     "l1_dh", "l1_dm", "l1_ev",
     "l2_dh", "l2_dm", "l2_ev",
@@ -152,11 +137,20 @@ _ARRAY_CARRY_INTS = (
 )
 
 
+def _recency_payload(level) -> list:
+    """Dense level -> ``[[set, [lines...]], ...]``, oldest first."""
+    return [
+        [set_index, lines[::-1]]
+        for set_index, lines in level.mru_lists()
+        if lines
+    ]
+
+
 def _array_carry_payload(carry) -> dict:
     return {
-        "l1": _lru_states_payload(carry.l1_state),
-        "l2": _lru_states_payload(carry.l2_state),
-        "l3": _lru_states_payload(carry.l3_state),
+        "l1": _recency_payload(carry.l1),
+        "l2": _recency_payload(carry.l2),
+        "l3": _recency_payload(carry.l3),
         "now": carry.now,
         "busy": carry.busy,
         "frontend_stalls": carry.frontend_stalls,
@@ -165,13 +159,18 @@ def _array_carry_payload(carry) -> dict:
     }
 
 
-def _array_carry_restore(payload: dict):
+def _array_carry_restore(payload: dict, machine):
     from .array_replay import ArrayCarry
 
-    carry = ArrayCarry()
-    carry.l1_state = _lru_states_restore(payload["l1"])
-    carry.l2_state = _lru_states_restore(payload["l2"])
-    carry.l3_state = _lru_states_restore(payload["l3"])
+    carry = ArrayCarry(machine)
+    for level, entries in (
+        (carry.l1, payload["l1"]),
+        (carry.l2, payload["l2"]),
+        (carry.l3, payload["l3"]),
+    ):
+        level.load_mru_lists(
+            (set_index, lines[::-1]) for set_index, lines in entries
+        )
     carry.now = float(payload["now"])
     carry.busy = float(payload["busy"])
     carry.frontend_stalls = float(payload["frontend_stalls"])
@@ -194,29 +193,18 @@ _PLAN_CARRY_INTS = (
 )
 
 
-def _dense_sets_payload(sets: list) -> list:
-    """Dense ``[recency-list-or-None] * num_sets`` -> sparse pairs.
-
-    Empty lists are kept: a probed-but-empty set exists in the
-    reference cache dict, and final-state equality includes that.
-    """
-    return [
-        [index, [int(line) for line in recency]]
-        for index, recency in enumerate(sets)
-        if recency is not None
-    ]
-
-
 def _plan_carry_payload(carry) -> dict:
+    """Touched sets keep empty lists: a probed-but-empty set exists in
+    the reference cache dict, and final-state equality includes that."""
     return {
-        "l1_sets": _dense_sets_payload(carry.l1_sets),
-        "l2_sets": _dense_sets_payload(carry.l2_sets),
-        "l3_sets": _dense_sets_payload(carry.l3_sets),
-        "l1_pend": sorted(int(line) for line in carry.l1_pend),
-        "l2_pend": sorted(int(line) for line in carry.l2_pend),
-        "l3_pend": sorted(int(line) for line in carry.l3_pend),
+        "l1_sets": [list(entry) for entry in carry.l1.mru_lists()],
+        "l2_sets": [list(entry) for entry in carry.l2.mru_lists()],
+        "l3_sets": [list(entry) for entry in carry.l3.mru_lists()],
+        "l1_pend": carry.l1.pending_lines(),
+        "l2_pend": carry.l2.pending_lines(),
+        "l3_pend": carry.l3.pending_lines(),
         "inflight": [
-            [int(line), arrival] for line, arrival in carry.inflight.items()
+            [line, arrival] for line, arrival in carry.inflight().items()
         ],
         "now": carry.now,
         "busy": carry.busy,
@@ -232,21 +220,14 @@ def _plan_carry_restore(ctx, payload: dict):
     from .array_replay import PlanCarry
 
     carry = PlanCarry(ctx)
-    for dense, res, entries in (
-        (carry.l1_sets, carry.l1_res, payload["l1_sets"]),
-        (carry.l2_sets, carry.l2_res, payload["l2_sets"]),
-        (carry.l3_sets, carry.l3_res, payload["l3_sets"]),
-    ):
-        for index, lines in entries:
-            recency = [int(line) for line in lines]
-            dense[int(index)] = recency
-            res.update(recency)
-    carry.l1_pend = {int(line) for line in payload["l1_pend"]}
-    carry.l2_pend = {int(line) for line in payload["l2_pend"]}
-    carry.l3_pend = {int(line) for line in payload["l3_pend"]}
-    carry.inflight = {
+    for level, prefix in ((carry.l1, "l1"), (carry.l2, "l2"), (carry.l3, "l3")):
+        level.load_mru_lists(
+            payload[prefix + "_sets"],
+            (int(line) for line in payload[prefix + "_pend"]),
+        )
+    carry.set_inflight({
         int(line): float(arrival) for line, arrival in payload["inflight"]
-    }
+    })
     carry.now = float(payload["now"])
     carry.busy = float(payload["busy"])
     carry.frontend_stalls = float(payload["frontend_stalls"])
@@ -457,6 +438,8 @@ def run_sharded(
         fallback: Optional[str] = "observer"
     elif not kernel.numpy_enabled():
         fallback = "kernel-disabled"
+    elif not core.ideal and (missing := native.unavailable_reason()):
+        fallback = missing
     elif not core._hierarchy_pristine():
         fallback = "state-not-pristine"
     elif engine is not None and not engine.is_pristine():
@@ -671,7 +654,7 @@ def _run_array_stream(
     machine = core.machine
     eff = warmup if 0 < warmup < total else 0
     cpi = 1.0 / machine.base_ipc
-    carry = ArrayCarry()
+    carry = ArrayCarry(machine)
     merged = ShardStats.identity()
     prev = SimStats()
     start_shard = 0
@@ -681,7 +664,7 @@ def _run_array_stream(
     )
     if resumed is not None:
         start_shard, merged, carry_payload = resumed
-        carry = _array_carry_restore(carry_payload)
+        carry = _array_carry_restore(carry_payload, machine)
         start_shard += 1
         prev = _array_snapshot(carry, cpi)
     for index in range(start_shard, len(bounds)):
@@ -800,57 +783,85 @@ def _run_plan_stream(
         checkpointer.finalize(len(bounds))
 
 
+def _batch_ineligible(core) -> Optional[str]:
+    """Why *core* cannot join a plan batch, or None when it can."""
+    if core.engine is None:
+        return "no-plan"
+    if not core.engine.is_pristine():
+        return "engine-state"
+    if not kernel.numpy_enabled():
+        return "kernel-disabled"
+    missing = native.unavailable_reason()
+    if missing is not None:
+        return missing
+    if not core._hierarchy_pristine():
+        return "state-not-pristine"
+    return None
+
+
 def run_plan_batch(
     cores,
     trace,
     warmup: int = 0,
     shard_insns: Optional[int] = None,
 ) -> List[Optional[str]]:
-    """Evaluate every core's plan in one pass over *trace*, optionally
-    shard-streamed.
+    """Replay a sweep's plan variants, one per core, over *trace*.
 
     *cores* are :class:`~repro.sim.cpu.CoreSimulator` instances (one
-    per variant, pristine state).  Returns per-slot outcomes exactly
-    like :func:`~repro.sim.array_replay.batched_plan_replay`: ``None``
-    when the slot was batched — its stats/hierarchy/engine are now
-    bit-identical to the per-variant replay with the same
-    ``shard_insns`` — else the fallback reason; failed slots must be
-    rerun through the per-variant path with fresh objects.
+    per variant, pristine state).  Every variant runs the compiled
+    plan walk of the per-variant ``columnar-plan`` replay; the batch
+    walks the shards in the outer loop and the variants in the inner
+    one, so the trace decode and each shard's plan-independent
+    precompute (the counting-Bloom prefix sums and context windows of
+    variants with matching tracker configuration, the data-traffic
+    arrays of variants whose models decode the same stream) are built
+    once instead of once per variant.
+
+    Returns one outcome per core: ``None`` when the variant was
+    replayed — its stats/hierarchy/engine are now bit-identical to the
+    per-variant replay with the same ``shard_insns`` — else the
+    fallback reason.  A failed core's stats/engine/hierarchy are
+    untouched, but its data-traffic model may have advanced: rerun it
+    with fresh objects through the per-variant path.
 
     With ``shard_insns`` the trace is cut on the same greedy
-    instruction bounds as :func:`run_sharded`, the variant axis runs
-    inside each shard, and every variant's reported counters flow
-    through the per-variant :class:`ShardStats` merge, mirroring the
-    sequential sharded driver's algebra.
+    instruction bounds as :func:`run_sharded`, and every variant's
+    reported counters flow through the per-variant :class:`ShardStats`
+    merge, mirroring the sequential sharded driver's algebra.
     """
-    from .array_replay import PlanBatch
+    from .array_replay import (
+        PlanCarry,
+        PlanContext,
+        _plan_finish,
+        plan_shard_replay,
+    )
     from .columnar import columnar_view
 
     program = cores[0].program
-    machine = cores[0].machine
     tracer = get_tracer()
+    reasons = [_batch_ineligible(core) for core in cores]
+    live = {}
+    for index, (core, reason) in enumerate(zip(cores, reasons)):
+        if reason is None:
+            ctx = PlanContext(program, core.machine, core.engine,
+                              core.hierarchy)
+            live[index] = (ctx, PlanCarry(ctx))
+        else:
+            tracer.instant("sim:batch-fallback", slot=index, reason=reason)
     view = columnar_view(program)
     rows_full = view.trace_rows(trace)
     total = len(rows_full)
     eff = warmup if 0 < warmup < total else 0
-    batch = PlanBatch(
-        program,
-        machine,
-        [(c.stats, c.engine, c.hierarchy, c.data_traffic) for c in cores],
-    )
-    if not kernel.numpy_enabled():
-        for slot in batch.slots:
-            if slot.alive:
-                slot.fail("kernel-disabled")
-    for core, slot in zip(cores, batch.slots):
-        if not core._hierarchy_pristine() and slot.alive:
-            slot.fail("state-not-pristine")
-
     bounds = (
         view.shard_bounds(rows_full, shard_insns)
         if shard_insns
         else [(0, total)]
     )
+    sharded = len(bounds) > 1
+    merged: Dict[int, ShardStats] = {
+        index: ShardStats.identity() for index in live
+    }
+    prev: Dict[int, SimStats] = {index: SimStats() for index in live}
     with tracer.span(
         "sim:batch",
         program=program.name,
@@ -858,38 +869,36 @@ def run_plan_batch(
         variants=len(cores),
         shards=len(bounds),
     ) as span:
-        if len(bounds) <= 1:
-            batch.run_shard(rows_full, 0, eff)
-            batch.finish()
-        else:
-            merged: Dict[int, ShardStats] = {}
-            prev: Dict[int, SimStats] = {
-                s.index: _plan_snapshot(s.ctx, s.carry) for s in batch.live()
-            }
-            for index, (start, stop) in enumerate(bounds):
-                with tracer.span("sim:shard", index=index, offset=start):
-                    batch.run_shard(rows_full[start:stop], start, eff)
-                for slot in batch.live():
-                    cur = _plan_snapshot(slot.ctx, slot.carry)
-                    delta = ShardStats.delta(index, prev[slot.index], cur)
-                    acc = merged.get(slot.index)
-                    merged[slot.index] = (
-                        delta if acc is None else acc.merge(delta)
-                    )
-                    prev[slot.index] = cur
-            batch.finish()
-            for slot in batch.slots:
-                if slot.alive and slot.reason is None:
-                    _apply_merged(slot.stats, merged[slot.index])
-        reasons = batch.results()
-        span.set(fallbacks=sum(r is not None for r in reasons))
-    for core, reason in zip(cores, reasons):
-        if reason is None:
+        for shard, (start, stop) in enumerate(bounds):
+            rows = rows_full[start:stop]
+            shared: dict = {}
+            with tracer.span("sim:shard", index=shard, offset=start):
+                for index in list(live):
+                    ctx, carry = live[index]
+                    if not plan_shard_replay(
+                        ctx, carry, rows, start, eff,
+                        cores[index].data_traffic, shared=shared,
+                    ):
+                        reasons[index] = "bloom-overflow"
+                        tracer.instant(
+                            "sim:batch-fallback", slot=index,
+                            reason="bloom-overflow",
+                        )
+                        del live[index]
+                    elif sharded:
+                        cur = _plan_snapshot(ctx, carry)
+                        merged[index] = merged[index].merge(
+                            ShardStats.delta(shard, prev[index], cur)
+                        )
+                        prev[index] = cur
+        for index, (ctx, carry) in live.items():
+            core = cores[index]
+            _plan_finish(ctx, carry, core.stats, core.hierarchy, core.engine)
+            if sharded:
+                _apply_merged(core.stats, merged[index])
             core.last_replay_backend = "columnar-plan-batch"
             core.last_fallback_reason = None
-        # the batch's internal wall-clock decomposition, for honest
-        # benchmark reporting (observation only)
-        core.last_batch_phases = dict(batch.phase_seconds)
+        span.set(fallbacks=sum(r is not None for r in reasons))
     return reasons
 
 
@@ -979,7 +988,7 @@ def _run_parallel_array(
     machine = core.machine
     eff = warmup if 0 < warmup < total else 0
     cpi = 1.0 / machine.base_ipc
-    carry = ArrayCarry()
+    carry = ArrayCarry(machine)
     merged = ShardStats.identity()
     prev = SimStats()
     start_shard = 0
@@ -989,7 +998,7 @@ def _run_parallel_array(
     )
     if resumed is not None:
         start_shard, merged, carry_payload = resumed
-        carry = _array_carry_restore(carry_payload)
+        carry = _array_carry_restore(carry_payload, machine)
         start_shard += 1
         prev = _array_snapshot(carry, cpi)
 
@@ -1022,7 +1031,7 @@ def _run_parallel_array(
     summaries = pool.run_round(
         "l1-summary", [(index,) for index in remaining], perf, tracer
     )
-    l1_states = {start_shard: carry.l1_state}
+    l1_states = {start_shard: carry.l1.to_recency()}
     for index, summary in zip(remaining, summaries):
         l1_states[index + 1] = compose_lru_state(
             l1_states[index], summary, machine.l1i.ways
@@ -1036,7 +1045,7 @@ def _run_parallel_array(
         perf,
         tracer,
     )
-    l2_states = {start_shard: carry.l2_state}
+    l2_states = {start_shard: carry.l2.to_recency()}
     for index, out in zip(remaining, r2):
         l2_states[index + 1] = compose_lru_state(
             l2_states[index], out["l2_summary"], machine.l2.ways
@@ -1051,7 +1060,7 @@ def _run_parallel_array(
         perf,
         tracer,
     )
-    l3_states = {start_shard: carry.l3_state}
+    l3_states = {start_shard: carry.l3.to_recency()}
     for index, out in zip(remaining, r3):
         l3_states[index + 1] = compose_lru_state(
             l3_states[index], out["l3_summary"], machine.l3.ways
@@ -1076,9 +1085,11 @@ def _run_parallel_array(
                 (out2["counters"], out3["counters"], out4["counters"]),
                 out4["miss_levels"],
             ).apply(carry)
-            carry.l1_state = l1_states[index + 1]
-            carry.l2_state = l2_states[index + 1]
-            carry.l3_state = l3_states[index + 1]
+            if checkpointer is not None:
+                # a checkpoint serializes the dense carry at shard end
+                carry.l1.load_recency(l1_states[index + 1])
+                carry.l2.load_recency(l2_states[index + 1])
+                carry.l3.load_recency(l3_states[index + 1])
             incr = np.frombuffer(out4["incr"], dtype=np.float64)
             if reset_local is None:
                 frontend_stalls = carry.frontend_stalls
@@ -1122,6 +1133,11 @@ def _run_parallel_array(
         tracer,
         consume=_fold_shard,
     )
+    if remaining and checkpointer is None:
+        end = remaining[-1] + 1
+        carry.l1.load_recency(l1_states[end])
+        carry.l2.load_recency(l2_states[end])
+        carry.l3.load_recency(l3_states[end])
     array_finish(carry, machine, stats, core.hierarchy)
     _apply_merged(stats, merged)
     if checkpointer is not None:
@@ -1226,7 +1242,7 @@ def stream_replay_events(
     view = columnar_view(program)
     rows_full = view.trace_rows(trace)
     bounds = view.shard_bounds(rows_full, shard_insns)
-    carry = ArrayCarry()
+    carry = ArrayCarry(machine)
     chunks = []
     for index, (start, stop) in enumerate(bounds):
         chunks.append(

@@ -15,10 +15,16 @@ from hypothesis import strategies as st
 from repro.core.hashing import context_mask
 from repro.core.instructions import PrefetchInstr, PrefetchPlan
 from repro.profiling.profiler import profile_execution
+from repro.sim import native
 from repro.sim.params import line_of
 from repro.sim.trace import BlockInfo, BlockTrace, Program
 from repro.workloads.adversarial import ADVERSARIAL_APP_NAMES
 from repro.workloads.apps import build_app, get_app
+
+#: for tests that call the compiled replay kernel directly
+needs_kernel = pytest.mark.skipif(
+    native.find_compiler() is None, reason="no C compiler on this host"
+)
 
 
 def make_program(block_sizes, base_address=0x400000, name="test-program"):

@@ -59,6 +59,15 @@ class TestCollect:
         assert section["numpy_available"] == kernel.HAVE_NUMPY
         assert section["numpy_enabled"] == kernel.numpy_enabled()
 
+    def test_compiled_kernel_recorded(self, manifest):
+        from repro.sim import native
+
+        section = manifest.payload["kernel"]
+        status = native.status()
+        assert section["compiled"] is status.compiled
+        assert section["source_sha256"] == native.source_sha256()
+        assert section["compiler"] == status.compiler
+
     def test_apps_carry_variant_digests(self, manifest):
         apps = manifest.payload["apps"]
         assert set(apps) == {"wordpress"}

@@ -38,6 +38,7 @@ from ..conftest import (
     make_random_plan,
     make_random_program,
     make_random_trace,
+    needs_kernel,
 )
 
 #: one instruction (every block its own shard), an awkward prime, and a
@@ -335,6 +336,7 @@ class TestComposeLRUState:
             bucket.append(line)
         return [[s, bucket[-ways:]] for s, bucket in per_set.items()]
 
+    @needs_kernel
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_lru_stream_exactly(self, seed):
         """Composing a shard's summary onto any start state yields the
@@ -486,6 +488,7 @@ class TestWorkerRoundsInProcess:
                 s: tuple(b) for s, b in naive
             }, f"shard {index}"
 
+    @needs_kernel
     def test_shard_l2_stream_is_the_l1_miss_stream(self, rig):
         import numpy as np
 
@@ -507,6 +510,7 @@ class TestWorkerRoundsInProcess:
             assert len(l2_lines) == int((~hits).sum())
             assert (np.diff(l2_blocks) >= 0).all(), "merge order broken"
 
+    @needs_kernel
     def test_round_chain_reproduces_sequential_accounting(self, rig):
         parallel, core, program, trace, sharded = rig
         machine = core.machine
@@ -566,6 +570,7 @@ class TestWorkerRoundsInProcess:
         assert traced == result
         assert events, "worker spans recorded for parent absorption"
 
+    @needs_kernel
     def test_reset_counters_match_sequential_warmup(self, rig):
         parallel, core, program, trace, sharded = rig
         machine = core.machine

@@ -19,6 +19,8 @@ from repro.sim.params import MachineParams
 from repro.sim.streaming import StoreCheckpointer
 from repro.sim.trace import BlockInfo, BlockTrace, Program
 
+from .conftest import needs_kernel
+
 # -- strategies -------------------------------------------------------------
 
 
@@ -274,6 +276,7 @@ class TestCompositionLawInvariants:
     @pytest.mark.skipif(
         not kernel.HAVE_NUMPY, reason="the vectorized summary needs numpy"
     )
+    @needs_kernel
     @given(
         st.lists(st.integers(0, 2047), min_size=0, max_size=400),
         st.lists(st.integers(0, 400), min_size=0, max_size=4),

@@ -14,11 +14,15 @@ import gzip
 import json
 import lzma
 import signal
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import kernel
+from repro.sim import native
+from repro.sim.cpu import CoreSimulator
 from repro.sim.trace import (
     BlockTrace,
     ShardedTrace,
@@ -294,6 +298,9 @@ class TestCLI:
 
 #: wall-clock bound on ingesting one small untrusted file
 UNTRUSTED_BOUND_S = 5.0
+#: peak Python/NumPy heap while ingesting and replaying one untrusted
+#: input (the replay's dense cache state alone is about 2 MiB)
+UNTRUSTED_HEAP_BOUND = 64 * 1024 * 1024
 
 _COMPRESSORS = {None: bytes, "gz": gzip.compress, "xz": lzma.compress}
 _SUFFIX = {"champsim": ".champsim", "jsonl": ".jsonl", "csv": ".csv"}
@@ -358,6 +365,29 @@ def _untrusted_bytes(draw, fmt, compress):
     return raw
 
 
+def _ingest_and_replay(path, fmt):
+    """Ingest *path*; whatever parses is replayed on the compiled
+    baseline path.  Each step either succeeds or raises ValueError,
+    within the time bound."""
+    with _time_bound(UNTRUSTED_BOUND_S):
+        try:
+            work = ing.ingest_trace_file(path)
+        except ValueError:
+            return
+    assert work.report["records"] > 0
+    assert work.report["format"] == fmt
+    with _time_bound(UNTRUSTED_BOUND_S), kernel.force_numpy_kernel():
+        core = CoreSimulator(work.program)
+        try:
+            core.run(work.trace)
+        except ValueError:
+            return
+    expected = "columnar" if native.unavailable_reason() is None else (
+        "reference"
+    )
+    assert core.last_replay_backend == expected
+
+
 class TestUntrustedBytes:
     @pytest.mark.parametrize("compress", (None, "gz", "xz"))
     @pytest.mark.parametrize("fmt", ing.FORMATS)
@@ -370,13 +400,13 @@ class TestUntrustedBytes:
         @given(raw=_untrusted_bytes(fmt, compress))
         def check(raw):
             path.write_bytes(raw)
-            with _time_bound(UNTRUSTED_BOUND_S):
-                try:
-                    work = ing.ingest_trace_file(path)
-                except ValueError:
-                    return
-            assert work.report["records"] > 0
-            assert work.report["format"] == fmt
+            tracemalloc.start()
+            try:
+                _ingest_and_replay(path, fmt)
+                _current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < UNTRUSTED_HEAP_BOUND, f"heap peak {peak} bytes"
 
         check()
 
