@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..core.config import DEFAULT_CONFIG, ISpyConfig
-from ..core.injection import SiteSelection, frequent_miss_lines, select_site
+from ..core.injection import SiteSelection, frequent_miss_lines, select_sites
 from ..core.instructions import PrefetchInstr, PrefetchPlan
 from ..profiling.profiler import ExecutionProfile
 from ..sim.trace import Program
@@ -62,17 +62,16 @@ def build_asmdb_plan(
     report = AsmDBReport(fanout_threshold=fanout_threshold)
     plan = PrefetchPlan(name=f"asmdb@{fanout_threshold:.2f}")
 
-    for line, _count in frequent_miss_lines(profile, config):
+    report.selections = select_sites(
+        profile,
+        [line for line, _count in frequent_miss_lines(profile, config)],
+        config,
+        max_fanout=fanout_threshold,
+        fanout_mode="path",
+        distance_estimator="ipc",
+    )
+    for line, selection in report.selections.items():
         report.considered_lines += 1
-        selection = select_site(
-            profile,
-            line,
-            config,
-            max_fanout=fanout_threshold,
-            fanout_mode="path",
-            distance_estimator="ipc",
-        )
-        report.selections[line] = selection
         if selection.chosen is None:
             report.uncovered_lines.append(line)
             continue

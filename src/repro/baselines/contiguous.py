@@ -24,7 +24,7 @@ from typing import Dict, Optional, Set
 from dataclasses import replace
 
 from ..core.config import DEFAULT_CONFIG, ISpyConfig
-from ..core.injection import frequent_miss_lines, select_site
+from ..core.injection import frequent_miss_lines, select_sites
 from ..core.instructions import PrefetchInstr, PrefetchPlan
 from ..profiling.profiler import ExecutionProfile
 from ..sim.hierarchy import MemoryHierarchy
@@ -141,18 +141,20 @@ def build_window_plan(
     if window < 1:
         raise ValueError("window must be at least one line")
     config = config or DEFAULT_CONFIG
-    miss_lines: Set[int] = {
-        line for line, _ in frequent_miss_lines(profile, config)
-    }
+    selections = select_sites(
+        profile,
+        [line for line, _ in frequent_miss_lines(profile, config)],
+        config,
+    )
+    miss_lines: Set[int] = set(selections)
     name = f"{'contiguous' if contiguous else 'non-contiguous'}-{window}"
     plan = PrefetchPlan(name=name)
     emitted: Set[int] = set()
 
-    for line, _count in frequent_miss_lines(profile, config):
+    for line, selection in selections.items():
         if line in emitted:
             # Already covered as a member of an earlier window.
             continue
-        selection = select_site(profile, line, config)
         if selection.chosen is None:
             continue
         if contiguous:

@@ -144,47 +144,6 @@ def _label_occurrences_columnar(
     )
 
 
-def candidate_fanout(
-    profile: ExecutionProfile,
-    site: int,
-    line: int,
-    max_cycles: float,
-    max_occurrences: int = 20000,
-) -> float:
-    """Fan-out of *site* without materializing :class:`OccurrenceLabels`.
-
-    Candidate ranking only reads ``labels.fanout``; skipping the
-    tuple conversions of the full labels object makes the per-candidate
-    cost one ``searchsorted``.  The subsample, the gap comparisons and
-    the ``positives / total`` division are the identical operations, so
-    the returned float matches ``label_occurrences(...).fanout`` bit
-    for bit.  Columnar path only — the reference keeps the labelled
-    form.
-    """
-    import numpy as np
-
-    arrays = profile.arrays()
-    occurrences = arrays.occurrences_of(site)
-    if len(occurrences) > max_occurrences:
-        step = len(occurrences) / max_occurrences
-        pick = (np.arange(max_occurrences, dtype=np.float64) * step).astype(
-            np.int64
-        )
-        occurrences = occurrences[pick]
-    total = len(occurrences)
-    if not total:
-        return 1.0
-    miss_indices, miss_cycles = arrays.line_samples(line)
-    n_misses = len(miss_indices)
-    if not n_misses:
-        return 1.0
-    positions = np.searchsorted(miss_indices, occurrences, side="right")
-    clipped = np.minimum(positions, n_misses - 1)
-    gaps = miss_cycles[clipped] - arrays.block_cycles[occurrences]
-    labels = (positions < n_misses) & (gaps <= max_cycles)
-    return 1.0 - int(np.count_nonzero(labels)) / total
-
-
 def dynamic_fanout(
     profile: ExecutionProfile,
     site: int,
@@ -259,23 +218,6 @@ def sites_in_window(
     """
     if estimator not in ("cycles", "ipc"):
         raise ValueError("estimator must be 'cycles' or 'ipc'")
-    if kernel.numpy_enabled():
-        return _sites_in_window_columnar(
-            profile, miss_index, min_cycles, max_cycles, estimator
-        )
-    return _sites_in_window_reference(
-        profile, miss_index, min_cycles, max_cycles, estimator
-    )
-
-
-def _sites_in_window_reference(
-    profile: ExecutionProfile,
-    miss_index: int,
-    min_cycles: float,
-    max_cycles: float,
-    estimator: str,
-) -> List[Tuple[int, float]]:
-    """Backward scan from the miss, one distance per step."""
     blocks = profile.block_ids
     if estimator == "cycles":
         cycles = profile.block_cycles
@@ -315,14 +257,16 @@ def window_entries(
     max_cycles: float,
     estimator: str = "cycles",
 ):
-    """Batched :func:`sites_in_window` over many misses of one line.
+    """Batched :func:`sites_in_window` over many misses.
 
-    Returns ``(blocks, distances)`` arrays holding the concatenation of
-    ``sites_in_window(profile, i, ...)`` for each *i* in
-    *miss_indices*, in that order, nearest-first within each window —
-    entry-for-entry the sequence the per-miss calls would produce.
-    One numpy pass replaces ``len(miss_indices)`` window scans, which
-    is what makes candidate ranking amortize its array overhead.
+    Returns ``(blocks, distances, ordinals)`` arrays holding the
+    concatenation of ``sites_in_window(profile, i, ...)`` for each *i*
+    in *miss_indices*, in that order, nearest-first within each window
+    — entry-for-entry the sequence the per-miss calls would produce —
+    plus, per entry, the position in *miss_indices* of the miss whose
+    window it came from.  One numpy pass replaces
+    ``len(miss_indices)`` window scans, which is what makes candidate
+    ranking amortize its array overhead.
 
     Per window the reference scans backward and stops at the first
     occurrence whose distance exceeds ``max_cycles``; the window is
@@ -334,31 +278,23 @@ def window_entries(
     """
     import numpy as np
 
-    empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
+    empty = (
+        np.empty(0, dtype=np.int64),
+        np.empty(0, dtype=np.float64),
+        np.empty(0, dtype=np.int64),
+    )
     if not len(miss_indices):
         return empty
     arrays = profile.arrays()
     miss_idx = np.asarray(miss_indices, dtype=np.int64)
-    if estimator == "cycles":
-        values = arrays.block_cycles
-        scale = None
-        positions = values[miss_idx]
-        threshold = positions - (max_cycles + 1.0)
-    elif estimator == "ipc":
-        values = arrays.cumulative_instructions
-        scale = profile.average_cpi
-        positions = values[miss_idx]
-        threshold = positions - ((max_cycles + 1.0) / scale + 2.0)
-    else:
-        raise ValueError("estimator must be 'cycles' or 'ipc'")
-
-    starts = np.searchsorted(values, threshold, side="left")
+    values, scale, positions, starts = window_probes(
+        profile, miss_idx, max_cycles, estimator
+    )
     lengths = miss_idx - starts
-    nonempty = lengths > 0
-    if not nonempty.all():
-        starts = starts[nonempty]
-        lengths = lengths[nonempty]
-        positions = positions[nonempty]
+    ordinals = np.flatnonzero(lengths > 0)
+    starts = starts[ordinals]
+    lengths = lengths[ordinals]
+    positions = positions[ordinals]
     if not len(starts):
         return empty
     total = int(lengths.sum())
@@ -403,70 +339,29 @@ def window_entries(
     selected = len(keys) - 1 - first_rev
     order = np.lexsort((-trace_pos[selected], segment[selected]))
     selected = selected[order]
-    return blocks[selected], distances[selected]
+    return blocks[selected], distances[selected], ordinals[segment[selected]]
 
 
-def _sites_in_window_columnar(
-    profile: ExecutionProfile,
-    miss_index: int,
-    min_cycles: float,
-    max_cycles: float,
-    estimator: str,
-) -> List[Tuple[int, float]]:
-    """Array form of the backward window scan.
-
-    Timestamps (and cumulative instruction counts) are nondecreasing,
-    so the reference's break-on-too-far scan selects a contiguous
-    suffix of trace positions; a doubling backward probe finds its
-    start with the identical per-element float comparisons, and the
-    first-seen dedup keeps the same nearest-first order.
-    """
+def window_probes(profile, miss_idx, max_cycles: float, estimator: str):
+    """``(values, scale, positions, starts)``: the per-position distance
+    basis of *estimator*, the misses' positions on it, and where each
+    miss's probe region starts — a ``searchsorted`` lower bound padded
+    by a slack that dwarfs float rounding.  ``miss - start`` bounds the
+    entries :func:`window_entries` yields for a miss."""
     import numpy as np
 
-    if miss_index <= 0:
-        return []
     arrays = profile.arrays()
     if estimator == "cycles":
         values = arrays.block_cycles
         scale = None
-        position = profile.block_cycles[miss_index]
-    else:
+        positions = values[miss_idx]
+        threshold = positions - (max_cycles + 1.0)
+    elif estimator == "ipc":
         values = arrays.cumulative_instructions
         scale = profile.average_cpi
-        position = profile.cumulative_instructions[miss_index]
-
-    # Find the window start: grow the probed span until a distance
-    # exceeds max_cycles (or the trace starts).
-    high = miss_index
-    span = 256
-    while True:
-        low = max(0, high - span)
-        distances = position - values[low:high]
-        if scale is not None:
-            distances = distances * scale
-        beyond = np.flatnonzero(distances > max_cycles)
-        if len(beyond):
-            start = low + int(beyond[-1]) + 1
-            distances = distances[int(beyond[-1]) + 1 :]
-            break
-        if low == 0:
-            start = 0
-            break
-        span *= 2
-
-    if start >= high:
-        return []
-    # Nearest (latest trace position) first, matching the scan order.
-    distances = distances[::-1]
-    blocks = arrays.block_ids[start:high][::-1]
-    reachable = distances >= min_cycles
-    blocks = blocks[reachable]
-    distances = distances[reachable]
-    if not len(blocks):
-        return []
-    _, first_seen = np.unique(blocks, return_index=True)
-    first_seen.sort()
-    keep = first_seen
-    return list(
-        zip(blocks[keep].tolist(), distances[keep].tolist())
-    )
+        positions = values[miss_idx]
+        threshold = positions - ((max_cycles + 1.0) / scale + 2.0)
+    else:
+        raise ValueError("estimator must be 'cycles' or 'ipc'")
+    starts = np.searchsorted(values, threshold, side="left")
+    return values, scale, positions, starts

@@ -23,7 +23,7 @@ from .config import DEFAULT_CONFIG, ISpyConfig
 from .context import ContextResult, discover_context
 from .validate import PlanIssue, assert_valid, validate_plan
 from .hashing import context_bit_positions, context_mask, fnv1_64, murmur3_32
-from .injection import CandidateSite, SiteSelection, select_site
+from .injection import CandidateSite, SiteSelection, select_site, select_sites
 from .instructions import PrefetchInstr, PrefetchPlan, empty_plan
 from .ispy import ISpy, ISpyReport, ISpyResult, build_ispy_plan
 
@@ -54,5 +54,6 @@ __all__ = [
     "fnv1_64",
     "murmur3_32",
     "select_site",
+    "select_sites",
     "validate_plan",
 ]

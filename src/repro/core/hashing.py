@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Mapping, Tuple
 
+from .. import kernel
+
 _FNV_OFFSET_BASIS_64 = 0xCBF29CE484222325
 _FNV_PRIME_64 = 0x100000001B3
 _MASK_64 = (1 << 64) - 1
@@ -120,11 +122,39 @@ def bit_position_table(
 
     The simulator pushes tens of thousands of LBR entries; hashing each
     block once up front keeps the run-time model fast without changing
-    its behaviour.
+    its behaviour.  On the columnar tier the one-hash table is FNV-1
+    over whole address arrays; the per-address loop is the reference
+    (and serves ``hashes_per_block=2``).
     """
+    if (
+        kernel.numpy_enabled()
+        and hashes_per_block == 1
+        and hash_bits > 0
+        and addresses_by_block
+    ):
+        return _fnv1_position_table(addresses_by_block, hash_bits)
     return {
         block_id: context_bit_positions(address, hash_bits, hashes_per_block)
         for block_id, address in addresses_by_block.items()
+    }
+
+
+def _fnv1_position_table(
+    addresses_by_block: Mapping[int, int], hash_bits: int
+) -> Dict[int, Tuple[int, ...]]:
+    """:func:`fnv1_64` of every address's 8 little-endian bytes as
+    wrapping ``uint64`` array arithmetic, then ``% hash_bits``."""
+    import numpy as np
+
+    addresses = np.array(list(addresses_by_block.values()), dtype=np.uint64)
+    value = np.full(len(addresses), _FNV_OFFSET_BASIS_64, dtype=np.uint64)
+    for shift in range(0, 64, 8):
+        value *= np.uint64(_FNV_PRIME_64)
+        value ^= (addresses >> np.uint64(shift)) & np.uint64(0xFF)
+    positions = (value % np.uint64(hash_bits)).tolist()
+    return {
+        block_id: (position,)
+        for block_id, position in zip(addresses_by_block, positions)
     }
 
 

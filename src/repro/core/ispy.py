@@ -31,7 +31,7 @@ from .coalesce import (
 from .config import DEFAULT_CONFIG, ISpyConfig
 from .context import ContextResult, discover_context
 from .hashing import context_mask
-from .injection import SiteSelection, frequent_miss_lines, select_site
+from .injection import SiteSelection, frequent_miss_lines, select_sites
 from .instructions import PrefetchInstr, PrefetchPlan
 from .validate import assert_valid
 
@@ -89,11 +89,14 @@ class ISpy:
         report = ISpyReport(config=config)
         planned: List[PlannedPrefetch] = []
 
+        report.selections = select_sites(
+            profile,
+            [line for line, _count in frequent_miss_lines(profile, config)],
+            config,
+        )
         with tracer.span("analysis:context-discovery") as span:
-            for line, _count in frequent_miss_lines(profile, config):
+            for line, selection in report.selections.items():
                 report.considered_lines += 1
-                selection = select_site(profile, line, config)
-                report.selections[line] = selection
                 if selection.chosen is None:
                     report.uncovered_lines.append(line)
                     continue

@@ -51,17 +51,22 @@ class ProfileArrays:
         #: scratch cache for per-site context windows (see
         #: repro.core.context._predictor_pool_columnar)
         self.window_cache: Dict[Tuple[int, int, int], tuple] = {}
-        # CSR of per-block occurrence positions (ascending per block).
+        # CSR of per-block occurrence positions (ascending per block):
+        # block occurrence_ids[r] runs at occurrence_order[starts[r] :
+        # starts[r] + counts[r]].
         order = np.argsort(self.block_ids, kind="stable")
         sorted_ids = self.block_ids[order]
-        boundaries = np.flatnonzero(
-            np.concatenate(([True], sorted_ids[1:] != sorted_ids[:-1]))
-        )
-        ends = np.concatenate((boundaries[1:], [len(sorted_ids)]))
-        self._occurrences = {
-            int(sorted_ids[start]): order[start:end]
-            for start, end in zip(boundaries, ends)
-        }
+        fresh = np.ones(len(sorted_ids), dtype=bool)
+        fresh[1:] = sorted_ids[1:] != sorted_ids[:-1]
+        boundaries = np.flatnonzero(fresh)
+        self.occurrence_order = order
+        self.occurrence_ids = sorted_ids[boundaries]
+        self.occurrence_starts = boundaries
+        self.occurrence_counts = np.diff(boundaries, append=len(sorted_ids))
+        self._path_ids: Dict[int, tuple] = {}
+        #: memoized site selections, keyed by the inputs selection
+        #: reads (see repro.core.injection.select_sites)
+        self.selection_memo: Dict[tuple, dict] = {}
         # Per-line miss samples (trace indices ascending, as recorded).
         lines: Dict[int, Tuple[List[int], List[float]]] = {}
         for sample in profile.miss_samples:
@@ -82,14 +87,46 @@ class ProfileArrays:
 
     def occurrences_of(self, block_id: int):
         """Trace indices where *block_id* executed (ascending array)."""
-        positions = self._occurrences.get(block_id)
-        if positions is None:
+        ids = self.occurrence_ids
+        row = int(self.np.searchsorted(ids, block_id))
+        if row == len(ids) or ids[row] != block_id:
             return self.np.zeros(0, dtype=self.np.int64)
-        return positions
+        start = self.occurrence_starts[row]
+        stop = start + self.occurrence_counts[row]
+        return self.occurrence_order[start:stop]
 
     def line_samples(self, line: int):
         """(trace_index[], cycle[]) of the sampled misses of *line*."""
         return self._line_samples.get(line, self._empty)
+
+    def path_ids(self, length: int):
+        """``(ids, count)``: a dense id per trace position naming the
+        path that follows it, its next *length* blocks.
+
+        Equal ids mean equal ``block_ids[i + 1 : i + 1 + length]``
+        tuples; signatures cut short by the trace end are padded with
+        -1 (block ids are non-negative), so they stay distinct from
+        every full-length one.  One ``lexsort`` over the *length*
+        shifted columns groups equal signatures.
+        """
+        cached = self._path_ids.get(length)
+        if cached is None:
+            np = self.np
+            n = len(self.block_ids)
+            padded = np.concatenate(
+                (self.block_ids[1:], np.full(length, -1, dtype=np.int64))
+            )
+            columns = [padded[j : j + n] for j in range(length)]
+            order = np.lexsort(columns)
+            fresh = np.zeros(n, dtype=bool)
+            for column in columns:
+                ranked = column[order]
+                fresh[1:] |= ranked[1:] != ranked[:-1]
+            ids = np.empty(n, dtype=np.int64)
+            ids[order] = np.cumsum(fresh)
+            cached = (ids, int(ids.max()) + 1 if n else 0)
+            self._path_ids[length] = cached
+        return cached
 
 
 @dataclass

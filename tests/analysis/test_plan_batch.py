@@ -15,6 +15,8 @@ from repro import perf as perf_mod
 from repro.core.config import DEFAULT_CONFIG
 from repro.runconfig import RunConfig
 
+from ..conftest import needs_kernel
+
 APP = "kafka"
 SETTINGS = ExperimentSettings.small()
 
@@ -54,6 +56,7 @@ def batched():
 
 
 class TestBitIdentity:
+    @needs_kernel
     def test_matches_run_plan(self, batched):
         evaluation, plans, sweep = batched
         assert evaluation.perf.calls("sweep:batch") == 1
@@ -74,6 +77,7 @@ class TestBitIdentity:
 
 
 class TestEligibility:
+    @needs_kernel
     def test_partial_cache_hits_batch_only_misses(self):
         evaluation = _evaluation()
         plans = _sweep_plans(evaluation)
@@ -84,6 +88,7 @@ class TestEligibility:
         assert evaluation.perf.calls("simulate:columnar-plan-batch") == 2
         assert sweep[0] == evaluation.run_plan(plans[0])
 
+    @needs_kernel
     def test_auto_mode_runs_single_miss_solo(self):
         evaluation = _evaluation()
         plans = _sweep_plans(evaluation, minima=(13,))
@@ -103,6 +108,7 @@ class TestEligibility:
         assert len(sweep) == 3
         assert evaluation.perf.calls("sweep:batch") == 0
 
+    @needs_kernel
     def test_none_plan_rides_the_solo_path(self):
         evaluation = _evaluation()
         plans = [None] + _sweep_plans(evaluation, minima=(5, 27))

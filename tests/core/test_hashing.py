@@ -1,9 +1,12 @@
 """FNV-1 / MurmurHash3 / context-encoding tests."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import kernel
 from repro.core.hashing import (
     bit_position_table,
     context_bit_positions,
@@ -12,6 +15,7 @@ from repro.core.hashing import (
     murmur3_32,
     popcount,
 )
+from repro.workloads.apps import APP_NAMES, get_app
 
 
 class TestFNV1:
@@ -114,6 +118,32 @@ class TestBitPositionTable:
         table = bit_position_table(addresses, 16)
         for block, address in addresses.items():
             assert table[block] == context_bit_positions(address, 16)
+
+    @pytest.mark.parametrize("name", APP_NAMES)
+    def test_vectorized_table_matches_reference(self, name):
+        program = get_app(name, 0.15).program
+        addresses = {block.block_id: block.address for block in program}
+        with kernel.reference_path():
+            expected = bit_position_table(addresses, 16)
+        with kernel.force_numpy_kernel():
+            assert bit_position_table(addresses, 16) == expected
+
+    @pytest.mark.parametrize("hash_bits", [1, 7, 16, 64, 1000])
+    def test_random_addresses_including_high_bit(self, hash_bits):
+        rng = random.Random(hash_bits)
+        addresses = {
+            index: rng.choice(
+                (rng.randrange(2**20), rng.randrange(2**64),
+                 rng.randrange(2**63, 2**64))
+            )
+            for index in range(2_000)
+        }
+        addresses[2_000] = 2**64 - 1
+        addresses[2_001] = 2**63
+        with kernel.reference_path():
+            expected = bit_position_table(addresses, hash_bits)
+        with kernel.force_numpy_kernel():
+            assert bit_position_table(addresses, hash_bits) == expected
 
 
 class TestPopcount:

@@ -17,6 +17,8 @@ from repro.obs.manifest import (
 from repro.perf import PerfRegistry
 from repro.runconfig import RunConfig
 
+from ..conftest import needs_kernel
+
 SETTINGS = ExperimentSettings(
     profile_length=6_000, eval_length=8_000, warmup=1_500, scale=0.15
 )
@@ -117,6 +119,7 @@ class TestParallelSection:
         assert section["worker_budget"] is None
         assert section["clamped"] is False
 
+    @needs_kernel
     def test_parallel_run_records_rounds_and_budget(self):
         from repro import kernel
 

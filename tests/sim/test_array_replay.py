@@ -19,7 +19,11 @@ from repro.sim.datatraffic import DataTrafficModel
 from repro.sim.trace import BlockTrace
 from repro.workloads.apps import build_app
 
-from ..conftest import hierarchy_state as _hierarchy_state, make_program
+from ..conftest import (
+    hierarchy_state as _hierarchy_state,
+    make_program,
+    needs_kernel,
+)
 
 APPS = ("wordpress", "drupal", "finagle-http")
 
@@ -56,18 +60,22 @@ def _assert_identical(program, trace, data_traffic=None, warmup=0, ideal=False):
 
 
 class TestTinyTraces:
+    @needs_kernel
     def test_cold_and_repeat(self):
         program = make_program([64, 64, 64, 64])
         _assert_identical(program, BlockTrace([0, 1, 2, 3, 0, 1, 2, 3]))
 
+    @needs_kernel
     def test_multi_line_blocks(self):
         program = make_program([64, 200, 64, 640, 130])
         _assert_identical(program, BlockTrace([0, 1, 2, 3, 4, 1, 3, 3, 0]))
 
+    @needs_kernel
     def test_back_to_back_same_block(self):
         program = make_program([64, 64])
         _assert_identical(program, BlockTrace([0, 0, 0, 1, 1, 0]))
 
+    @needs_kernel
     def test_capacity_evictions(self):
         # Far more lines than the L1I holds: exercises eviction + L2/L3.
         program = make_program([640] * 80)
@@ -76,6 +84,7 @@ class TestTinyTraces:
         )
         _assert_identical(program, trace)
 
+    @needs_kernel
     def test_warmup_boundary(self):
         program = make_program([64] * 8)
         trace = BlockTrace(list(range(8)) * 4)
@@ -86,11 +95,13 @@ class TestTinyTraces:
         program = make_program([64, 320, 64])
         _assert_identical(program, BlockTrace([0, 1, 2, 1, 0]), ideal=True)
 
+    @needs_kernel
     def test_single_block_trace(self):
         program = make_program([64, 64])
         _assert_identical(program, BlockTrace([1]))
 
 
+@needs_kernel
 class TestApps:
     @pytest.mark.parametrize("name", APPS)
     def test_app_replay_with_data_traffic_and_warmup(self, name):
@@ -105,6 +116,7 @@ class TestApps:
 
 
 class TestDataTrafficFastPath:
+    @needs_kernel
     def test_model_end_state_matches(self):
         app = build_app("wordpress", scale=0.25)
         trace = app.trace(6_000)

@@ -35,6 +35,7 @@ from ..conftest import (
     make_random_plan,
     make_random_program,
     make_random_trace,
+    needs_kernel,
 )
 
 #: whole-trace, one block per shard, an awkward prime, one huge shard
@@ -107,6 +108,7 @@ def _plan_set(rng, program):
     ]
 
 
+@needs_kernel
 class TestBatchedMatchesSequential:
     """Batched == per-variant, across backends × widths × shards."""
 
@@ -146,6 +148,7 @@ class TestBatchedMatchesSequential:
 class TestFallbacks:
     """Ineligible variants bounce with a reason; the rest still batch."""
 
+    @needs_kernel
     def test_no_plan_and_dirty_engine_slots(self):
         rng = random.Random(11)
         program = make_random_program(rng, n_blocks=48)
@@ -189,6 +192,7 @@ class TestFallbacks:
             assert core.stats == SimStats()
 
 
+@needs_kernel
 @settings(max_examples=12, deadline=None)
 @given(data=st.data())
 def test_batch_property(data):
@@ -234,6 +238,7 @@ def test_batch_property(data):
         assert _snap(core) == expected[i], f"slot {i}"
 
 
+@needs_kernel
 @settings(max_examples=6, deadline=None)
 @given(case=adversarial_workloads(), seed=st.integers(0, 2**16))
 def test_adversarial_batch_property(case, seed):

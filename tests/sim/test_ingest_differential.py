@@ -31,6 +31,7 @@ from ..conftest import (
     engine_state,
     hierarchy_state,
     make_random_plan,
+    needs_kernel,
 )
 
 #: an awkward prime, the fixture's own on-disk budget, one huge shard
@@ -130,6 +131,7 @@ class TestIngestedBitIdentity:
             seq_core.last_replay_backend
         ), context
 
+    @needs_kernel
     def test_plan_batch(self, ingested_fixture):
         """A sweep-style variant set over the ingested program batches
         cleanly and lands on the per-variant reference answers."""
@@ -154,6 +156,7 @@ class TestIngestedBitIdentity:
             assert core.last_replay_backend == "columnar-plan-batch"
         assert [_snap(core) for core in cores] == expected
 
+    @needs_kernel
     def test_acceptance_matrix(self, ingested_fixture):
         """The headline guarantee in one table: sequential reference,
         sequential columnar, shard-streamed, on-disk shards, parallel

@@ -28,6 +28,7 @@ from ..conftest import (
     engine_state as _engine_state,
     hierarchy_state as _hierarchy_state,
     make_program,
+    needs_kernel,
 )
 
 
@@ -72,6 +73,7 @@ def _plan_of(*instrs):
     return plan
 
 
+@needs_kernel
 class TestSyntheticPlans:
     """Tiny hand-built plans covering each instruction kind."""
 
@@ -206,6 +208,7 @@ def _small_evaluation():
     return SMALL_EVALUATOR
 
 
+@needs_kernel
 class TestAppPlans:
     """Real planner output on a real workload, data traffic + warmup."""
 
@@ -285,6 +288,7 @@ class TestFallbacks:
             ref_stats = ref_core.run(trace, observer=TraceObserver())
         assert col_stats == ref_stats
 
+    @needs_kernel
     def test_reused_simulator_forces_reference(self):
         """A second run composes with prior state: reference only."""
         program, plan, trace = self._plan_and_program()
@@ -312,6 +316,7 @@ class TestFallbacks:
             core.run(trace)
         assert core.last_replay_backend == "reference"
 
+    @needs_kernel
     def test_empty_plan_takes_plain_columnar(self):
         """A plan with no instructions builds no engine at all, so the
         replay runs the plan-free ``columnar`` backend."""
@@ -330,6 +335,7 @@ class TestFallbacks:
         assert core.last_replay_backend == "reference"
 
 
+@needs_kernel
 class TestAppsAcrossWorkloads:
     @pytest.mark.parametrize("name", ("drupal", "finagle-http"))
     def test_ispy_plan_matches_on_app(self, name):

@@ -39,6 +39,7 @@ from ..conftest import (
     ADVERSARIAL_TEST_SCALE,
     adversarial_app,
     adversarial_workloads,
+    needs_kernel,
 )
 
 
@@ -159,6 +160,7 @@ class TestBloomStorm:
         app = adversarial_app("bloom-storm")
         assert _positions(app.program) == {BLOOM_STORM_BIT}
 
+    @needs_kernel
     def test_default_depth_is_safe(self):
         """The stock 32-deep LBR peaks below the 6-bit counter max, so
         the columnar plan backend serves the replay normally."""
@@ -198,6 +200,7 @@ class TestBloomStorm:
             with pytest.raises(OverflowError, match="runtime-hash"):
                 core.run(trace)
 
+    @needs_kernel
     def test_batch_fails_the_slot_with_a_reason(self):
         """The plan-batched executor must not poison the batch: the
         overflowing slot bounces with ``bloom-overflow`` and untouched
